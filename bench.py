@@ -103,19 +103,14 @@ def _flagship_dataset():
     corpus), while a few-big-file corpus still needs >= 2 x cpus
     blocks or the pool starves (one-block-per-FILE on the 4-file
     mult=48 corpus cut 8-cpu scaling to 0.48: 4 tasks on 8 cores)."""
-    import ray.data as rd
-
-    from pdf_parser_ray.pipelines.extraction import extract_dataset
+    from pdf_parser_ray.pipelines.extraction import \
+        run_extraction_from_parquet
 
     path = _ensure_transcripts()
     n_files = sum(1 for f in os.listdir(path) if f.endswith(".parquet"))
     n_blocks = int(os.environ.get("GRAFT_READ_BLOCKS", "0")) or \
         max(n_files, 2 * NUM_CPUS)
-    transcripts = rd.read_parquet(path,
-                                  columns=["conv_id", "turn_idx",
-                                           "text", "tool"],
-                                  override_num_blocks=n_blocks)
-    return extract_dataset(transcripts)
+    return run_extraction_from_parquet(path, override_num_blocks=n_blocks)
 
 
 def run_flagship() -> dict:

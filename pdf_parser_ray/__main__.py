@@ -105,18 +105,16 @@ def main(argv=None):
         return
 
     from .pipelines.extraction import extract_dataset
-    from .sources.transcripts import transcripts_dataset
+    from .sources.transcripts import read_transcripts, transcripts_dataset
+    from .stages.extract import INPUT_COLUMNS
 
     def extracted_turns():
         """Shared extraction front-end honoring --transcripts and
         --pages for EVERY subcommand (a spec silently ignored is worse
         than an error)."""
         if args.transcripts is not None:
-            import ray.data as rd
-            ts = rd.read_parquet(args.transcripts,
-                                 columns=["conv_id", "turn_idx",
-                                          "text", "tool"],
-                                 override_num_blocks=args.num_blocks)
+            ts = read_transcripts(args.transcripts, columns=INPUT_COLUMNS,
+                                  override_num_blocks=args.num_blocks)
         else:
             ts = transcripts_dataset(args.sf_dir)
         if args.pages is not None:

@@ -513,10 +513,7 @@ def _extract_turn_a000(page: ParsedPage, turn_idx: int) -> Dict:
         find_column_separator_a000(page, blocks)
     regions = classify_a000(blocks, page.height, separator_x,
                             header_y_max, footer_y_min)
-    header_text = blocks_to_text_a000(regions["header"])
-    footer_text = blocks_to_text_a000(regions["footer"])
-    left_text = blocks_to_text_a000(regions["left_column"])
-    right_text = blocks_to_text_a000(regions["right_column"])
+    texts = [blocks_to_text_a000(regions[k]) for k in _REGIONS]
     metadata = {  # A000_layoutlm_extractor.py:271-281
         "total_text_blocks_layoutlm": len(blocks),
         "header_blocks": len(regions["header"]),
@@ -529,23 +526,8 @@ def _extract_turn_a000(page: ParsedPage, turn_idx: int) -> Dict:
         "header_y_boundary": header_y_max,
         "footer_y_boundary": footer_y_min,
     }
-    header_n = normalize_text_field(header_text)
-    footer_n = normalize_text_field(footer_text)
-    left_n = normalize_text_field(left_text)
-    right_n = normalize_text_field(right_text)
-    return {
-        "page_number": turn_idx + 1,
-        "header": header_n,
-        "footer": footer_n,
-        "left_column": left_n,
-        "right_column": right_n,
-        "page_width": _round2(page.width),
-        "page_height": _round2(page.height),
-        "column_separator_position": _round2(separator_x),
-        "extracted_text": assemble_extracted_text(header_n, left_n,
-                                                  right_n, footer_n),
-        "metadata_json": canonical_metadata_json(metadata),
-    }
+    return _record(turn_idx, page.width, page.height, separator_x,
+                   *texts, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +654,32 @@ OUTPUT_FIELDS = (
     "extracted_text", "metadata_json",
 )
 
+_REGIONS = ("header", "footer", "left_column", "right_column")
+
+
+def _record(turn_idx: int, width: float, height: float,
+            separator_x: Optional[float], header: str, footer: str,
+            left: str, right: str, metadata: Dict) -> Dict:
+    """The output record (OUTPUT_FIELDS) from one turn's region texts:
+    the normalization pass of pdf_extractor_protocol.py:158-193."""
+    header = normalize_text_field(header)
+    footer = normalize_text_field(footer)
+    left = normalize_text_field(left)
+    right = normalize_text_field(right)
+    return {
+        "page_number": turn_idx + 1,
+        "header": header,
+        "footer": footer,
+        "left_column": left,
+        "right_column": right,
+        "page_width": _round2(width),
+        "page_height": _round2(height),
+        "column_separator_position": _round2(separator_x),
+        "extracted_text": assemble_extracted_text(header, left, right,
+                                                  footer),
+        "metadata_json": canonical_metadata_json(metadata),
+    }
+
 
 def extract_turn(text: str, tool: str, turn_idx: int,
                  strategy: Optional[str] = None) -> Dict:
@@ -703,11 +711,7 @@ def extract_turn(text: str, tool: str, turn_idx: int,
         separator_x = find_column_separator(page.width, page.blocks, page.vlines)
         classify = CLASSIFIERS[strategy]
         regions = classify(page, separator_x)
-
-        header_text = blocks_to_text(regions["header"])
-        footer_text = blocks_to_text(regions["footer"])
-        left_text = blocks_to_text(regions["left_column"])
-        right_text = blocks_to_text(regions["right_column"])
+        texts = [blocks_to_text(regions[k]) for k in _REGIONS]
 
         metadata = {
             "total_text_blocks": len(page.blocks),
@@ -726,34 +730,8 @@ def extract_turn(text: str, tool: str, turn_idx: int,
             # A004_Vision_2025.py:274
             metadata["has_footer"] = len(regions["footer"]) > 0
 
-        # normalization pass (pdf_extractor_protocol.py:158-193)
-        header_n = normalize_text_field(header_text)
-        footer_n = normalize_text_field(footer_text)
-        left_n = normalize_text_field(left_text)
-        right_n = normalize_text_field(right_text)
-
-        return {
-            "page_number": turn_idx + 1,
-            "header": header_n,
-            "footer": footer_n,
-            "left_column": left_n,
-            "right_column": right_n,
-            "page_width": _round2(page.width),
-            "page_height": _round2(page.height),
-            "column_separator_position": _round2(separator_x),
-            "extracted_text": assemble_extracted_text(header_n, left_n, right_n, footer_n),
-            "metadata_json": canonical_metadata_json(metadata),
-        }
+        return _record(turn_idx, page.width, page.height, separator_x,
+                       *texts, metadata)
     except Exception as e:  # noqa: BLE001 — record-level containment
-        return {
-            "page_number": turn_idx + 1,
-            "header": "",
-            "footer": "",
-            "left_column": "",
-            "right_column": "",
-            "page_width": 0.0,
-            "page_height": 0.0,
-            "column_separator_position": None,
-            "extracted_text": "",
-            "metadata_json": canonical_metadata_json({"error": str(e)}),
-        }
+        return _record(turn_idx, 0.0, 0.0, None, "", "", "", "",
+                       {"error": str(e)})

@@ -1,8 +1,10 @@
 """Flagship pipeline: streaming main-content extraction over transcripts.
 
-read (pruned) -> synthesize/ingest transcripts -> map_batches extraction
-(actor pool, zero-copy Arrow) -> [optional] stable (conv_id, turn_idx)
-sort -> [optional] checkpointed bucketed write with lineage sidecars.
+One path: a transcript Dataset (synthesized by ``run_extraction``, read
+by ``run_extraction_from_parquet`` through ``read_transcripts``) ->
+``extract_dataset``, a single stateless ``map_batches(extract_batch)``
+fused with the read -> [optional] stable (conv_id, turn_idx) sort ->
+[optional] checkpointed bucketed write with lineage sidecars.
 
 Skew handling: a cheap pre-count (groupby conv_id count on a projected
 dataset) identifies mega-conversations; the narrow extraction stage is
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sources.transcripts import transcripts_dataset
-from ..stages.extract import ExtractTurns
+from ..sources.transcripts import read_transcripts, transcripts_dataset
+from ..stages.extract import INPUT_COLUMNS, extract_batch
 
 
 def pool_size(reserve: int = 2, cap: int | None = None) -> tuple:
@@ -42,40 +44,20 @@ def pool_size(reserve: int = 2, cap: int | None = None) -> tuple:
     return (lo, hi)
 
 
-def extract_dataset(transcripts, *, batch_size=None,
-                    concurrency=None, use_actors: bool = False):
+def extract_dataset(transcripts):
     """transcript Dataset -> extracted-turn Dataset (narrow, streaming).
 
-    Default is STATELESS TASKS: the stage's only state (strategy
-    registry + compiled regexes) is module-level and free to rehydrate,
-    and tasks are elastic — measured 143k turns/s vs 76k for a 28-actor
-    pool on the same input at 32 CPUs, with no pool-sizing deadlock
-    risk. Pass ``use_actors=True`` (the A1 warmed-model path) when the
-    stage holds expensive per-worker state; the pool is then sized by
-    pool_size() to leave shuffle headroom.
-
-    ``batch_size=None`` (default) = one batch per input block: the
-    read op then FUSES with extraction into a single task pool (an
-    explicit batch_size forces a re-batching operator boundary —
-    measured 117k -> 159k turns/s on the mult=16 bench when fused),
-    and the Arrow->python conversion amortizes over whole blocks.
-    Rows are ~1-2 KB of text, so even 128 MiB blocks are ~100k-row
-    batches — far below worker heap; set an explicit batch_size only
-    for wide-payload variants (the multimodal stages already do)."""
-    if use_actors or concurrency is not None:
-        return transcripts.map_batches(
-            ExtractTurns,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency if concurrency is not None else pool_size(),
-            num_cpus=1,
-        )
-    from ..stages.extract import extract_batch
-    return transcripts.map_batches(
-        extract_batch,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    Stateless tasks, one batch per input block: the stage's only state
+    (strategy registry + compiled regexes) is module-level and free to
+    rehydrate, and tasks are elastic — measured 143k turns/s vs 76k for
+    a 28-actor pool on the same input at 32 CPUs. Without a batch_size
+    the read FUSES with extraction into one task chain (an explicit
+    batch_size forces a re-batching operator boundary — measured
+    117k -> 159k turns/s on the mult=16 bench when fused) and the
+    Arrow->Python conversion amortizes over whole blocks. Rows are
+    ~1-2 KB of text, so even 128 MiB blocks are ~100k-row batches —
+    far below worker heap."""
+    return transcripts.map_batches(extract_batch, batch_format="pyarrow")
 
 
 def compare_strategies(transcripts, strategies, *, batch_size: int = 512):
@@ -88,7 +70,6 @@ def compare_strategies(transcripts, strategies, *, batch_size: int = 512):
     import functools
 
     from ..kernel import CLASSIFIERS
-    from ..stages.extract import extract_batch
 
     out = {}
     for name in strategies:
@@ -126,59 +107,31 @@ def _finish(extracted, out_dir, ordered, n_buckets, salt_turns=0):
 
 
 def run_extraction(sf_dir: str, out_dir: Optional[str] = None, *,
-                   ordered: bool = False, batch_size=None,
-                   concurrency=None, n_buckets: int = 32,
+                   ordered: bool = False, n_buckets: int = 32,
                    salt_turns: int = 0):
     """The flagship run over the SYNTHESIZED corpus (documents ->
     transcripts -> extraction). Returns the (lazy) extracted Dataset;
     when ``out_dir`` is given, executes the checkpointed write and
     returns the lineage metrics DataFrame instead."""
-    ts = transcripts_dataset(sf_dir)
-    extracted = extract_dataset(ts, batch_size=batch_size,
-                                concurrency=concurrency)
+    extracted = extract_dataset(transcripts_dataset(sf_dir))
     return _finish(extracted, out_dir, ordered, n_buckets, salt_turns)
 
 
 def run_extraction_from_parquet(transcripts_path, out_dir: Optional[str] = None,
                                 *, ordered: bool = False,
-                                batch_size=None, concurrency=None,
-                                n_buckets: int = 32, columns=None,
-                                salt_turns: int = 0,
+                                n_buckets: int = 32, salt_turns: int = 0,
                                 override_num_blocks: Optional[int] = None):
     """The PRODUCTION entry: extract an existing transcript Parquet
     table (file, directory of part files, or list of paths — at real
-    scale the file count drives read parallelism). Only the columns the
-    kernel needs are read unless ``columns`` overrides.
+    scale the file count drives read parallelism). The read goes
+    through ``read_transcripts``, pruned to the kernel's
+    INPUT_COLUMNS; for jsonl/csv exports, extract
+    ``read_transcripts(path, format=...)`` with ``extract_dataset``.
     ``override_num_blocks``: pin the read's block count — one block
     per file measured 1.4-1.8x faster than Ray's sub-file split
     heuristic on ~1-2 MB text-heavy files (bench.py does this); leave
     None for large files where sub-file splits are the point."""
-    import ray.data as rd
-    ts = rd.read_parquet(transcripts_path,
-                         columns=columns or ["conv_id", "turn_idx",
-                                             "text", "tool"],
-                         override_num_blocks=override_num_blocks)
-    extracted = extract_dataset(ts, batch_size=batch_size,
-                                concurrency=concurrency)
-    return _finish(extracted, out_dir, ordered, n_buckets, salt_turns)
-
-
-def run_extraction_from_source(path, *, format: str = "parquet",
-                               out_dir: Optional[str] = None,
-                               ordered: bool = False,
-                               batch_size=None, concurrency=None,
-                               n_buckets: int = 32, salt_turns: int = 0,
-                               override_num_blocks: Optional[int] = None):
-    """Format-agnostic production entry: extract a transcript table in
-    any format ``sources.transcripts.read_transcripts`` accepts
-    (parquet = the pruned scale path; jsonl/csv = ingest paths
-    normalized to the canonical schema before extraction). Same
-    checkpointing/ordering contract as run_extraction_from_parquet."""
-    from ..sources.transcripts import read_transcripts
-    ts = read_transcripts(path, format=format,
-                          columns=["conv_id", "turn_idx", "text",
-                                   "tool"],
+    ts = read_transcripts(transcripts_path, columns=INPUT_COLUMNS,
                           override_num_blocks=override_num_blocks)
-    extracted = extract_dataset(ts, batch_size=batch_size,
-                                concurrency=concurrency)
-    return _finish(extracted, out_dir, ordered, n_buckets, salt_turns)
+    return _finish(extract_dataset(ts), out_dir, ordered, n_buckets,
+                   salt_turns)

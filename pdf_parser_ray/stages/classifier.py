@@ -117,7 +117,13 @@ def logreg_partial(b: pd.DataFrame, w: np.ndarray, *,
     """One sufficient-stats row for one batch: gradient of the SUMMED
     log-loss over the batch (dim weights + bias), the loss sum, and
     the row count. blk = min doc_id — the deterministic combine key
-    (the lloyd_centroids idiom)."""
+    (the lloyd_centroids idiom). A zero-row batch has no blk, so it
+    yields a typed zero-row partial."""
+    if len(b) == 0:
+        return pd.DataFrame({"blk": pd.Series([], dtype=np.int64),
+                             "g": pd.Series([], dtype=object),
+                             "loss": pd.Series([], dtype=np.float64),
+                             "n": pd.Series([], dtype=np.int64)})
     flat, lens, s = _scores(b, w, dim)
     y = b["y"].to_numpy(np.float64)
     p = 1.0 / (1.0 + np.exp(-s))
@@ -149,11 +155,12 @@ def train_logreg(feat_ds, *, dim: int, iters: int = 12,
         def part(b: pd.DataFrame, _ref=ref) -> pd.DataFrame:
             return logreg_partial(b, ray.get(_ref), dim=dim)
 
-        rows = (feat_ds.map_batches(part, batch_format="pandas")
-                .to_pandas().sort_values("blk", kind="mergesort"))
-        n = int(rows["n"].sum())
+        rows = feat_ds.map_batches(part, batch_format="pandas").to_pandas()
+        # an all-empty dataset comes back with no columns at all
+        n = int(rows["n"].sum()) if "n" in rows else 0
         if n == 0:
             return w, losses
+        rows = rows.sort_values("blk", kind="mergesort")
         g = np.sum(np.stack([np.asarray(v) for v in rows["g"]]),
                    axis=0)
         losses.append(float(rows["loss"].sum()) / n)

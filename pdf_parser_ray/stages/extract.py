@@ -6,13 +6,11 @@ order -> M14 normalize (SURVEY.md §2.2) — the whole chain stays inside
 one Arrow batch, so per-turn intermediates (block lists) never hit the
 object store.
 
-Stateful by design (SURVEY.md §2.3 A2/A3): the strategy registry is
-snapshotted once per actor in ``__init__`` (broadcast small side), and
-the html/question regexes are compiled at import time, so per-batch
-setup cost is zero. Use with::
+Stateless: the strategy registry and the html/question regexes are
+module-level (built at import time), so a plain Ray task rehydrates
+them for free and per-batch setup cost is zero. Used as::
 
-    ds.map_batches(ExtractTurns, batch_format="pyarrow",
-                   batch_size=512, concurrency=(2, 8))
+    ds.map_batches(extract_batch, batch_format="pyarrow")
 """
 
 from __future__ import annotations
@@ -20,9 +18,14 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..kernel import extract_turn
+from ..kernel import OUTPUT_FIELDS, extract_turn
 from ..strategies import TOOL_STRATEGY_MAP, DEFAULT_STRATEGY
+
+#: the transcript columns the kernel reads — every extraction entry
+#: prunes its read to these
+INPUT_COLUMNS = ["conv_id", "turn_idx", "text", "tool"]
 
 EXTRACTED_SCHEMA = pa.schema([
     ("conv_id", pa.string()),
@@ -43,39 +46,28 @@ EXTRACTED_SCHEMA = pa.schema([
 
 def extract_batch(batch: pa.Table,
                   registry: Optional[Dict[str, str]] = None) -> pa.Table:
-    """Pure batch body (also usable as a stateless task)."""
+    """Pure batch body: one output row per input row, in input order.
+    The keys and the tool pass through as Arrow columns (turn_idx
+    narrowed to int32, a null tool filled with ""); only text and tool
+    cross into Python for the per-turn kernel."""
     reg = TOOL_STRATEGY_MAP if registry is None else registry
-    conv_ids = batch.column("conv_id").to_pylist()
-    turn_idxs = batch.column("turn_idx").to_pylist()
+    conv_id = pc.cast(batch.column("conv_id"), pa.string())
+    turn_idx = pc.cast(batch.column("turn_idx"), pa.int32())
+    tool = pc.fill_null(pc.cast(batch.column("tool"), pa.string()), "")
     texts = batch.column("text").to_pylist()
-    tools = batch.column("tool").to_pylist()
+    tools = tool.to_pylist()
+    turn_idxs = turn_idx.to_pylist()
 
-    n = len(conv_ids)
-    cols = {name: [None] * n for name in EXTRACTED_SCHEMA.names}
+    n = len(texts)
+    cols = {name: [None] * n for name in OUTPUT_FIELDS}
     for i in range(n):
-        tool = tools[i] or ""
-        strategy = reg.get(tool, DEFAULT_STRATEGY)
-        rec = extract_turn(texts[i], tool, int(turn_idxs[i]), strategy)
-        cols["conv_id"][i] = conv_ids[i]
-        cols["turn_idx"][i] = turn_idxs[i]
-        cols["tool"][i] = tool
-        for k in ("page_number", "header", "footer", "left_column",
-                  "right_column", "page_width", "page_height",
-                  "column_separator_position", "extracted_text",
-                  "metadata_json"):
+        rec = extract_turn(texts[i], tools[i], turn_idxs[i],
+                           reg.get(tools[i], DEFAULT_STRATEGY))
+        for k in OUTPUT_FIELDS:
             cols[k][i] = rec[k]
 
     return pa.Table.from_arrays(
-        [pa.array(cols[f.name], f.type) for f in EXTRACTED_SCHEMA],
+        [conv_id, turn_idx, tool]
+        + [pa.array(cols[k], EXTRACTED_SCHEMA.field(k).type)
+           for k in OUTPUT_FIELDS],
         schema=EXTRACTED_SCHEMA)
-
-
-class ExtractTurns:
-    """Actor-pool callable: registry snapshot held per actor
-    (analog of the reference's per-instance state, SURVEY.md §2.3)."""
-
-    def __init__(self, registry: Optional[Dict[str, str]] = None):
-        self.registry = dict(TOOL_STRATEGY_MAP) if registry is None else dict(registry)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return extract_batch(batch, self.registry)

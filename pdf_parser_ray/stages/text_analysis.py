@@ -765,16 +765,18 @@ def blocklist_inject_batch(t, *, text_col: str = "text"):
     mixed-case blockword (pins case-insensitivity), % 9 == 3 a
     punctuation-bounded one (pins the boundary class), % 9 == 6 a
     blockword EMBEDDED inside a longer token (must NOT match — the
-    word-boundary negative). Mirrored verbatim in the SQL oracle."""
-    did = t.column("doc_id").to_numpy(zero_copy_only=False)
-    s = t.column(text_col).to_pandas().astype(str)
-    m = did % 9
-    s = s.where(m != 0, s + " GrObNik speaking")
-    s = s.where(m != 3, s + " pure zxqvut!")
-    s = s.where(m != 6, s + " xfrobscottley run")
+    word-boundary negative). Mirrored verbatim in the SQL oracle,
+    including its ``text || ...`` NULL propagation: NULL text stays
+    NULL."""
+    m = t.column("doc_id").to_numpy(zero_copy_only=False) % 9
+    suffix = np.full(len(m), "", dtype=object)
+    suffix[m == 0] = " GrObNik speaking"
+    suffix[m == 3] = " pure zxqvut!"
+    suffix[m == 6] = " xfrobscottley run"
     i = t.schema.get_field_index(text_col)
-    return t.set_column(i, text_col,
-                        pa.array(s, type=t.schema.field(i).type))
+    txt = t.column(i).combine_chunks()
+    return t.set_column(i, text_col, pc.binary_join_element_wise(
+        txt, pa.array(suffix, type=txt.type), ""))
 
 
 def blocklist_flag_batch(t, *, text_col: str = "text"):

@@ -206,7 +206,6 @@ def _empty_metrics() -> pd.DataFrame:
 
 def extract_wave(transcript_files: Sequence[str], out_dir: str, *,
                  n_buckets: int = 32, salt_turns: int = 0,
-                 batch_size=None, concurrency=None,
                  override_num_blocks: Optional[int] = None,
                  ) -> Tuple[Optional[int], pd.DataFrame]:
     """Extract the files in ``transcript_files`` that no committed wave
@@ -280,8 +279,7 @@ def extract_wave(transcript_files: Sequence[str], out_dir: str, *,
 
         metrics = run_extraction_from_parquet(
             wave_files, out_dir=wdir, n_buckets=n_buckets,
-            salt_turns=salt_turns, batch_size=batch_size,
-            concurrency=concurrency,
+            salt_turns=salt_turns,
             override_num_blocks=override_num_blocks)
         if metrics.empty:
             metrics = _empty_metrics()

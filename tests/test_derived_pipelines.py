@@ -18,8 +18,8 @@ def extracted(ray_session):
     import ray.data as rd
     from pdf_parser_ray.pipelines.extraction import extract_dataset
     t = transcripts_table(SF_DIR, limit_docs=30)
-    return extract_dataset(rd.from_arrow(t), batch_size=128,
-                           concurrency=2).materialize(), t
+    blocks = [t.slice(i, 128) for i in range(0, t.num_rows, 128)]
+    return extract_dataset(rd.from_arrow(blocks)).materialize(), t
 
 
 def test_questions_match_oracle(extracted):
@@ -106,14 +106,15 @@ def test_checkpoint_resume(ray_session, tmp_path):
                                                  read_lineage)
     out = str(tmp_path / "ckpt")
     t = transcripts_table(SF_DIR, limit_docs=40)
-    ds = extract_dataset(rd.from_arrow(t), batch_size=128, concurrency=2)
+    blocks = [t.slice(i, 128) for i in range(0, t.num_rows, 128)]
+    ds = extract_dataset(rd.from_arrow(blocks))
     m1 = checkpointed_write(ds, out, n_buckets=4)
     assert sorted(m1["bucket"]) == [0, 1, 2, 3]
     total = m1["rows"].sum()
 
     # simulate a lost bucket; resume recomputes only it
     shutil.rmtree(os.path.join(out, "bucket=00002"))
-    ds2 = extract_dataset(rd.from_arrow(t), batch_size=128, concurrency=2)
+    ds2 = extract_dataset(rd.from_arrow(blocks))
     m2 = checkpointed_write(ds2, out, n_buckets=4)
     assert m2["bucket"].tolist() == [2]
     assert completed_buckets(out) == [0, 1, 2, 3]
@@ -140,7 +141,8 @@ def test_checkpoint_salted_buckets(ray_session, tmp_path):
     from pdf_parser_ray.state.checkpoint import checkpointed_write
     out = str(tmp_path / "salted")
     t = transcripts_table(SF_DIR, limit_docs=30)
-    ds = extract_dataset(rd.from_arrow(t), batch_size=128)
+    ds = extract_dataset(rd.from_arrow(
+        [t.slice(i, 128) for i in range(0, t.num_rows, 128)]))
     m = checkpointed_write(ds, out, n_buckets=8, salt_turns=16)
     readback = pds.dataset(out, format="parquet").to_table().to_pandas()
     mega = readback[readback["conv_id"] == "conv-00000000"]
@@ -172,7 +174,8 @@ def test_run_extraction_from_parquet(ray_session, tmp_path):
 
     got = (run_extraction_from_parquet(str(pdir)).to_pandas()
            .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
-    want = (extract_dataset(rd.from_arrow(t), batch_size=64).to_pandas()
+    want = (extract_dataset(rd.from_arrow(
+        [t.slice(i, 64) for i in range(0, t.num_rows, 64)])).to_pandas()
             .sort_values(["conv_id", "turn_idx"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want)
 

@@ -18,6 +18,7 @@ import pandas as pd
 import pytest
 
 from pdf_parser_ray.queries import ORACLES, QUERIES
+from tests.oracle_compare import canon, value_hash
 
 pytestmark = pytest.mark.sweep
 
@@ -32,30 +33,6 @@ def con():
     for t in TABLES:
         c.sql(f"CREATE VIEW {t} AS SELECT * FROM '{SF_DIR}/{t}.parquet'")
     return c
-
-
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.copy()
-    df = df[sorted(df.columns)]
-    for c in df.columns:
-        if pd.api.types.is_float_dtype(df[c]):
-            df[c] = df[c].round(6)
-        if pd.api.types.is_datetime64_any_dtype(df[c]):
-            df[c] = df[c].astype("datetime64[us]")
-        if pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype("int64")
-        if pd.api.types.is_bool_dtype(df[c]):
-            df[c] = df[c].astype("bool")
-    return (df.sort_values(list(df.columns), kind="mergesort")
-            .reset_index(drop=True))
-
-
-def _value_hash(df: pd.DataFrame) -> int:
-    """Driver-style order-insensitive value hash of the canonical
-    frame (row order already canonical after _canon's sort)."""
-    h = pd.util.hash_pandas_object(
-        df.astype(str) if df.empty else df, index=False)
-    return int(h.to_numpy().sum())
 
 
 @pytest.fixture(autouse=True)
@@ -79,11 +56,11 @@ def test_oracle_value_hash_sf001(ray_session, con, name):
     assert sorted(got.columns) == sorted(want.columns), (
         f"{name}: column mismatch {sorted(got.columns)} "
         f"vs {sorted(want.columns)}")
-    g, w = _canon(got), _canon(want)
+    g, w = canon(got), canon(want)
     assert len(g) == len(w), f"{name}: {len(g)} rows vs oracle {len(w)}"
     # value-hash compare, like CORRECTNESS_r{N}.json's hash_match —
     # with the frame-equal fallback so a miss prints WHERE it differs
-    if _value_hash(g) != _value_hash(w):
+    if value_hash(g) != value_hash(w):
         pd.testing.assert_frame_equal(g, w, check_dtype=False,
                                       check_exact=False, rtol=0,
                                       atol=1e-6)

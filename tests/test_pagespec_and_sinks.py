@@ -149,7 +149,8 @@ def test_sink_renderers(ray_session):
                                              questions_markdown_dataset)
     from pdf_parser_ray.sources.transcripts import transcripts_table
     t = transcripts_table("/root/testdata/sf0.001", limit_docs=12)
-    ex = extract_dataset(rd.from_arrow(t), batch_size=128).materialize()
+    blocks = [t.slice(i, 128) for i in range(0, t.num_rows, 128)]
+    ex = extract_dataset(rd.from_arrow(blocks)).materialize()
 
     js = conversation_json_dataset(ex).to_pandas()
     assert js["conv_id"].is_unique
@@ -185,7 +186,8 @@ def test_write_sink_files_roundtrip(ray_session, tmp_path):
                                              markdown_c001_dataset,
                                              write_sink_files)
     t = transcripts_table("/root/testdata/sf0.001", limit_docs=8)
-    ex = extract_dataset(rd.from_arrow(t), batch_size=128).materialize()
+    blocks = [t.slice(i, 128) for i in range(0, t.num_rows, 128)]
+    ex = extract_dataset(rd.from_arrow(blocks)).materialize()
 
     jdir = str(tmp_path / "json")
     m1 = write_sink_files(conversation_json_dataset(ex), jdir,

@@ -47,11 +47,25 @@ def test_rows_physically_out_of_order():
 
 
 def test_per_turn_equality_vs_oracle(ray_session, xs_table):
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import ray.data as rd
     from pdf_parser_ray.pipelines.extraction import extract_dataset
 
-    ds = rd.from_arrow(xs_table)
-    extracted = extract_dataset(ds, batch_size=64, concurrency=2)
+    blocks = [xs_table.slice(i, 64) for i in range(0, xs_table.num_rows, 64)]
+    # the first block typed as a row-format export would type it: int64
+    # turn_idx, and a null tool where the canonical table has ""
+    b0 = blocks[0]
+    tool = b0.column("tool")
+    assert "" in tool.to_pylist()
+    blocks[0] = (b0.set_column(b0.schema.get_field_index("turn_idx"),
+                               "turn_idx",
+                               pc.cast(b0.column("turn_idx"), pa.int64()))
+                 .set_column(b0.schema.get_field_index("tool"), "tool",
+                             pc.if_else(pc.equal(tool, ""),
+                                        pa.scalar(None, pa.string()),
+                                        tool)))
+    extracted = extract_dataset(rd.from_arrow(blocks))
     got = (extracted.sort(["conv_id", "turn_idx"]).to_pandas()
            .reset_index(drop=True))
     want = _oracle_frame(xs_table)
@@ -60,6 +74,10 @@ def test_per_turn_equality_vs_oracle(ray_session, xs_table):
     key_cols = ["conv_id", "turn_idx"]
     pd.testing.assert_frame_equal(got[key_cols], want[key_cols],
                                   check_dtype=False)
+    assert got["turn_idx"].dtype == "int32"
+    want_tool = (xs_table.select(["conv_id", "turn_idx", "tool"]).to_pandas()
+                 .sort_values(key_cols).reset_index(drop=True)["tool"])
+    assert (got["tool"] == want_tool).all()       # null tool -> ""
     want["page_number"] = want["page_number"].astype(got["page_number"].dtype)
 
     for col in ("page_number", "header", "footer", "left_column",
@@ -81,7 +99,8 @@ def test_full_corpus_equality_vs_oracle(ray_session):
     import ray.data as rd
     from pdf_parser_ray.pipelines.extraction import extract_dataset
     full = transcripts_table(SF_DIR)
-    got = (extract_dataset(rd.from_arrow(full), batch_size=256)
+    got = (extract_dataset(rd.from_arrow(
+        [full.slice(i, 256) for i in range(0, full.num_rows, 256)]))
            .to_pandas().sort_values(["conv_id", "turn_idx"])
            .reset_index(drop=True))
     want = _oracle_frame(full)
@@ -102,7 +121,8 @@ def test_golden_snapshot(ray_session):
                              / "golden" / "extracted_xs.parquet")
     from pdf_parser_ray.pipelines.extraction import extract_dataset
     t = transcripts_table(SF_DIR, limit_docs=60)
-    got = (extract_dataset(rd.from_arrow(t), batch_size=128)
+    got = (extract_dataset(rd.from_arrow(
+        [t.slice(i, 128) for i in range(0, t.num_rows, 128)]))
            .to_pandas().sort_values(["conv_id", "turn_idx"])
            .reset_index(drop=True))
     assert len(got) == len(golden) == 447

@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 from pdf_parser_ray.queries import ORACLES, QUERIES
+from tests.oracle_compare import canon
 
 SF_DIR = "/root/testdata/sf0.001"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
@@ -22,20 +23,6 @@ def con():
     return c
 
 
-def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.copy()
-    df = df[sorted(df.columns)]
-    for c in df.columns:
-        if pd.api.types.is_float_dtype(df[c]):
-            df[c] = df[c].round(6)
-        if pd.api.types.is_datetime64_any_dtype(df[c]):
-            df[c] = df[c].astype("datetime64[us]")
-        if pd.api.types.is_integer_dtype(df[c]):
-            df[c] = df[c].astype("int64")
-    return (df.sort_values(list(df.columns), kind="mergesort")
-            .reset_index(drop=True))
-
-
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_sql_oracle_match(ray_session, con, name):
     got = QUERIES[name](SF_DIR)
@@ -44,7 +31,7 @@ def test_sql_oracle_match(ray_session, con, name):
     want = con.sql(ORACLES[name]).df()
     assert sorted(got.columns) == sorted(want.columns), (
         f"{name}: column mismatch {got.columns} vs {want.columns}")
-    g, w = _canon(got), _canon(want)
+    g, w = canon(got), canon(want)
     assert len(g) == len(w), f"{name}: {len(g)} rows vs oracle {len(w)}"
     pd.testing.assert_frame_equal(g, w, check_dtype=False,
                                   check_exact=False, rtol=0, atol=1e-6)
@@ -242,7 +229,7 @@ def test_curation_funnel_oracle_gated_out_source(ray_session, tmp_path):
     want = c.sql(ORACLES["docs_curation_funnel"]).df()
     assert "junk" in set(want["source"]), \
         "oracle dropped the fully-gated-out source row"
-    g, w = _canon(got), _canon(want)
+    g, w = canon(got), canon(want)
     assert len(g) == len(w) == 2
     pd.testing.assert_frame_equal(g, w, check_dtype=False,
                                   check_exact=False, rtol=0, atol=1e-6)
@@ -394,7 +381,7 @@ def test_vocab_overlap_tokenless_source_matches_oracle(ray_session,
     got = QUERIES["docs_vocab_overlap"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_vocab_overlap")
     assert list(got["source_a"]) == ["a"] and list(got["source_b"]) == ["b"]
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
 
 
@@ -407,7 +394,7 @@ def test_drift_psi_negative_values_match_oracle(ray_session, tmp_path):
     _write_events(tmp_path, rows)
     got = QUERIES["events_value_drift_psi"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_value_drift_psi")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert (got["n_first"] + got["n_second"]).sum() == len(rows)
 
@@ -423,7 +410,7 @@ def test_corr_degenerate_groups_match_oracle(ray_session, tmp_path):
     _write_events(tmp_path, rows)
     got = QUERIES["events_value_hour_corr"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_value_hour_corr")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("event_type")
     assert np.isnan(by.loc["single", "corr_value_hour"])
@@ -497,7 +484,7 @@ def test_rolling_wau_gap_days_match_oracle(ray_session, tmp_path):
         str(tmp_path / "events.parquet"))
     got = QUERIES["events_rolling_wau"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_rolling_wau")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index(got["day"].dt.day)   # days: Mar 1/3/10/11
     # Mar 10's window (Mar 4-10) holds only Mar 10 itself: Mar 3 is
@@ -539,7 +526,7 @@ def test_dsir_weights_edges_match_oracle(ray_session, tmp_path):
     ])
     got = QUERIES["docs_dsir_weights"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_dsir_weights")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert set(got["doc_id"]) == {1, 2, 3}
     by = got.set_index("doc_id")
@@ -560,7 +547,7 @@ def test_dsir_weights_no_target_slice(ray_session, tmp_path):
     ])
     got = QUERIES["docs_dsir_weights"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_dsir_weights")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert len(got) == 2 and (got["selected"] == 0).all()
 
@@ -581,7 +568,7 @@ def test_bpe_pair_counts_hand_computed(ray_session, tmp_path):
     ])
     got = QUERIES["docs_bpe_pair_counts"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_bpe_pair_counts")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("pair")["cnt"]
     assert by["ab"] == 4          # word 'ab' x2 + inside 'abc' x2
@@ -604,7 +591,7 @@ def test_bpe_pair_counts_empty_and_limit_tie(ray_session, tmp_path):
     _write_docs(tmp_path, [(1, " ".join(words), "s")])
     got = QUERIES["docs_bpe_pair_counts"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_bpe_pair_counts")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert list(got["pair"]) == [w for w in sorted(words)][:20]
 
@@ -622,7 +609,7 @@ def test_bpe_encode_hand_computed(ray_session, tmp_path):
     ])
     got = QUERIES["docs_bpe_encode"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_bpe_encode")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("symbol")["n"]
     assert by["the"] == 1 and by["th"] == 1      # 'the'; 'th' in thinging
@@ -669,7 +656,7 @@ def test_hapax_ratio_hand_computed(ray_session, tmp_path):
     ])
     got = QUERIES["docs_hapax_ratio"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_hapax_ratio")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert list(got["source"]) == ["s1"]
     r = got.iloc[0]
@@ -694,7 +681,7 @@ def test_charclass_profile_hand_computed(ray_session, tmp_path):
     ])
     got = QUERIES["docs_charclass_profile"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_charclass_profile")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("source")
     assert by.loc["s1", "n_chars"] == 9        # 6 + 3
@@ -728,7 +715,7 @@ def test_interorder_gap_hand_computed(ray_session, tmp_path):
     write([(1, 1, 0), (2, 1, 7), (3, 1, 7), (4, 1, 21), (5, 2, 3)])
     got = QUERIES["orders_interorder_gap"](str(tmp_path))
     want = _oracle_on(tmp_path, "orders_interorder_gap")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("gap_week_bucket")["n_gaps"]
     assert dict(by) == {0: 1, 1: 1, 2: 1}
@@ -749,7 +736,7 @@ def test_winsorized_stats_hand_computed(ray_session, tmp_path):
     _write_events(tmp_path, rows)
     got = QUERIES["events_winsorized_stats"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_winsorized_stats")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     r = got.iloc[0]
     assert r["n_events"] == 20
@@ -775,7 +762,7 @@ def test_distinct_ngram_ratio_hand_computed(ray_session, tmp_path):
     ])
     got = QUERIES["docs_distinct_ngram_ratio"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_distinct_ngram_ratio")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("source")
     assert by.loc["s1", "distinct_bigrams"] == 2
@@ -804,7 +791,7 @@ def test_readability_hand_computed(ray_session, tmp_path):
     ])
     got = QUERIES["docs_readability"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_readability")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("doc_id")
     assert by.loc[1, "n_words"] == 5 and by.loc[1, "n_sentences"] == 2
@@ -849,7 +836,7 @@ def test_type_cooccurrence_hand_computed(ray_session, tmp_path):
     _write_events_users(tmp_path, rows)
     got = QUERIES["events_type_cooccurrence"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_type_cooccurrence")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index(["type_a", "type_b"])["n_users"]
     assert by[("A", "B")] == 2 and by[("A", "C")] == 1 \
@@ -876,7 +863,7 @@ def test_user_rfm_hand_computed(ray_session, tmp_path):
     _write_events_users(tmp_path, rows)
     got = QUERIES["events_user_rfm"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_user_rfm")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert got["n_users"].sum() == 5
     assert set(got.columns) == {"r_q", "f_q", "m_q", "n_users"}
@@ -901,7 +888,7 @@ def test_pagerank_hand_computed(ray_session, tmp_path):
     _write_events(tmp_path, rows)
     got = QUERIES["events_type_pagerank"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_type_pagerank")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     S = 10 ** 9
     edges = [("A", "B", 2), ("B", "A", 1), ("B", "C", 1),
@@ -968,7 +955,7 @@ def test_pagerank_literal_start_type(ray_session, tmp_path):
     _write_events_users(tmp_path, rows)
     got = QUERIES["events_type_pagerank"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_type_pagerank")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert set(got["event_type"]) == {"A", "B", "(start)"}
 
@@ -980,7 +967,7 @@ def test_pagerank_degenerate_corpora(ray_session, tmp_path):
     _write_events(tmp_path, [(0, 0, "only", 1.0)])
     got = QUERIES["events_type_pagerank"](str(tmp_path))
     want = _oracle_on(tmp_path, "events_type_pagerank")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert got["rank_scaled"].tolist() == [150000000]
     _write_events(tmp_path, [])
@@ -1004,7 +991,7 @@ def test_bigram_lm_ppl_hand_computed(ray_session, tmp_path):
     ])
     got = QUERIES["docs_bigram_lm_ppl"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_bigram_lm_ppl")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert set(got["doc_id"]) == {1, 2}
     by = got.set_index("doc_id")
@@ -1028,7 +1015,7 @@ def test_bigram_lm_ppl_empty_and_framed_key(ray_session, tmp_path):
     ])
     got = QUERIES["docs_bigram_lm_ppl"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_bigram_lm_ppl")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     # if the key collided, the two docs would share pooled counts and
     # score identically with inflated cb; distinct pairs keep the
@@ -1232,6 +1219,38 @@ def test_quality_classifier_confusion_partition_invariant(ray_session):
         confusion_counts(one, w8, dim=dim)
 
 
+def test_quality_classifier_empty_block_and_empty_input(ray_session):
+    """An empty block adds nothing to training: weights and losses are
+    those of the same blocks without it. A zero-row batch yields a
+    typed zero-row partial, and an all-empty dataset trains to the
+    zero model with no losses."""
+    import ray.data as rd
+
+    from pdf_parser_ray.stages.classifier import (
+        featurize_batch, logreg_partial, quality_label_inject_batch,
+        train_logreg)
+    dim = 64
+    docs = pd.DataFrame({
+        "doc_id": np.arange(60, dtype=np.int64),
+        "text": [f"w{i % 7} w{i % 11} common tok" for i in range(60)]})
+    feats = featurize_batch(quality_label_inject_batch(docs), dim=dim)
+    plain = rd.from_pandas([feats.iloc[:30], feats.iloc[30:]])
+    holed = rd.from_pandas([feats.iloc[:30], feats.iloc[:0],
+                            feats.iloc[30:]])
+    w0, l0 = train_logreg(plain, dim=dim, iters=4)
+    w1, l1 = train_logreg(holed, dim=dim, iters=4)
+    assert (w0 == w1).all() and l0 == l1 and len(l0) == 4
+
+    part = logreg_partial(feats.iloc[:0], np.zeros(dim + 1), dim=dim)
+    assert len(part) == 0
+    assert list(part.columns) == ["blk", "g", "loss", "n"]
+    assert part["blk"].dtype == np.int64 and part["n"].dtype == np.int64
+
+    w, losses = train_logreg(rd.from_pandas(feats.iloc[:0]), dim=dim,
+                             iters=3)
+    assert losses == [] and not w.any()
+
+
 def test_quality_classifier_featurize_batch_boundary_invariant():
     """featurize_batch over one batch vs two halves must give every
     doc the same sorted bucket list (the hash is per-string, the
@@ -1267,8 +1286,8 @@ def test_inverted_index_capping_min_df_and_oracle(ray_session,
     _write_docs(tmp_path, rows)
     got = QUERIES["docs_inverted_index"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_inverted_index")
-    pd.testing.assert_frame_equal(_canon(got).reset_index(drop=True),
-                                  _canon(want).reset_index(drop=True),
+    pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
+                                  canon(want).reset_index(drop=True),
                                   check_dtype=False)
     by = dict(zip(got["token"], zip(got["df"], got["postings"])))
     assert set(by) == {"hot", "warm"}
@@ -1327,8 +1346,8 @@ def test_blocklist_boundary_case_and_oracle(ray_session, tmp_path):
     _write_docs(tmp_path, rows)
     got = QUERIES["docs_blocklist_filter"](str(tmp_path))
     want = _oracle_on(tmp_path, "docs_blocklist_filter")
-    pd.testing.assert_frame_equal(_canon(got).reset_index(drop=True),
-                                  _canon(want).reset_index(drop=True),
+    pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
+                                  canon(want).reset_index(drop=True),
                                   check_dtype=False)
     a = got[got["source"] == "a"].iloc[0]
     b = got[got["source"] == "b"].iloc[0]
@@ -1338,6 +1357,22 @@ def test_blocklist_boundary_case_and_oracle(ray_session, tmp_path):
     # source b: doc 3 (injected 'zxqvut!') and doc 9 (% 9 == 0 mixed
     # case) blocked; doc 6's embedded 'xfrobscottley' must survive.
     assert (b["n_docs"], b["n_blocked"], b["kept_docs"]) == (3, 2, 1)
+
+
+def test_blocklist_inject_keeps_null_text():
+    """NULL text stays NULL through the injection fixture, as the
+    oracle's ``text || ...`` does, on an injected row (doc_id % 9 ==
+    0) and a non-injected one — never the string 'None'."""
+    import pyarrow as pa
+
+    from pdf_parser_ray.stages.text_analysis import blocklist_inject_batch
+    t = pa.table({"doc_id": pa.array([0, 9, 1, 3], pa.int64()),
+                  "text": pa.array([None, "x", None, "y"], pa.string()),
+                  "source": ["a", "a", "b", "b"]})
+    out = blocklist_inject_batch(t)
+    assert out.schema == t.schema
+    assert out.column("text").to_pylist() == [
+        None, "x GrObNik speaking", None, "y pure zxqvut!"]
 
 
 def _write_tpch_min(path, lineitem_rows, orders_rows, part_rows):
@@ -1405,16 +1440,16 @@ def test_q4_exists_semantics_and_q14_zero_guard(ray_session, tmp_path):
     _write_tpch_min(tmp_path, li, orders, part)
     got = QUERIES["q4_priority_semi_join"](str(tmp_path))
     want = _tpch_oracle_on(tmp_path, "q4_priority_semi_join")
-    pd.testing.assert_frame_equal(_canon(got).reset_index(drop=True),
-                                  _canon(want).reset_index(drop=True),
+    pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
+                                  canon(want).reset_index(drop=True),
                                   check_dtype=False)
     assert list(got["o_orderpriority"]) == ["1-URGENT"]
     assert list(got["order_count"]) == [1]
 
     got14 = QUERIES["q14_promo_share"](str(tmp_path))
     want14 = _tpch_oracle_on(tmp_path, "q14_promo_share")
-    pd.testing.assert_frame_equal(_canon(got14).reset_index(drop=True),
-                                  _canon(want14).reset_index(drop=True),
+    pd.testing.assert_frame_equal(canon(got14).reset_index(drop=True),
+                                  canon(want14).reset_index(drop=True),
                                   check_dtype=False)
     assert got14.iloc[0].tolist() == [0, 0, 0]
 
@@ -1433,8 +1468,8 @@ def test_q12_preagg_split_matches_oracle(ray_session, tmp_path):
     _write_tpch_min(tmp_path, li, orders, [(10, "PROMO")])
     got = QUERIES["q12_status_line_priority"](str(tmp_path))
     want = _tpch_oracle_on(tmp_path, "q12_status_line_priority")
-    pd.testing.assert_frame_equal(_canon(got).reset_index(drop=True),
-                                  _canon(want).reset_index(drop=True),
+    pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
+                                  canon(want).reset_index(drop=True),
                                   check_dtype=False)
     by = got.set_index("o_orderstatus")
     assert (by.loc["O", "high_lines"], by.loc["O", "low_lines"]) == (2, 1)
@@ -1555,7 +1590,7 @@ def test_q14_dangling_partkey_matches_oracle(ray_session, tmp_path):
                     [(10, "PROMO"), (11, "STANDARD")])
     got = QUERIES["q14_promo_share"](str(tmp_path))
     want = _tpch_oracle_on(tmp_path, "q14_promo_share")
-    pd.testing.assert_frame_equal(_canon(got), _canon(want),
+    pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     row = got.iloc[0]
     assert row["total_e4"] == 2 * 100 * 100 * 100  # doc 3 excluded

@@ -64,12 +64,14 @@ def test_read_transcripts_rejects_bad_input(ray_session, tmp_path):
                          format="jsonl").materialize()
 
 
-def test_run_extraction_from_source_jsonl(ray_session, tmp_path):
-    """The format-agnostic production entry yields output identical to
-    the parquet entry on the same corpus."""
+def test_jsonl_extraction_equals_parquet_entry(ray_session, tmp_path):
+    """A jsonl export read through read_transcripts and extracted
+    yields output identical to the parquet production entry on the
+    same corpus."""
     from pdf_parser_ray.pipelines.extraction import (
-        run_extraction_from_parquet, run_extraction_from_source)
-    from pdf_parser_ray.sources.transcripts import transcripts_table
+        extract_dataset, run_extraction_from_parquet)
+    from pdf_parser_ray.sources.transcripts import (read_transcripts,
+                                                    transcripts_table)
 
     df = transcripts_table("/root/testdata/sf0.001",
                            limit_docs=25).to_pandas()
@@ -78,8 +80,8 @@ def test_run_extraction_from_source_jsonl(ray_session, tmp_path):
     df.to_json(jlp, orient="records", lines=True, date_format="iso",
                force_ascii=False)
     a = run_extraction_from_parquet(str(pqp), ordered=True).to_pandas()
-    b = run_extraction_from_source(str(jlp), format="jsonl",
-                                   ordered=True).to_pandas()
+    b = (extract_dataset(read_transcripts(str(jlp), format="jsonl"))
+         .sort(["conv_id", "turn_idx"]).to_pandas())
     assert len(a) > 50
     pd.testing.assert_frame_equal(a.reset_index(drop=True),
                                   b.reset_index(drop=True))
