@@ -1,13 +1,20 @@
-"""Benchmark driver: headline pipelines over $GRAFT_SF_DIR.
+"""Benchmark driver: the flagship pipeline and every registry query
+over $GRAFT_SF_DIR.
 
-Plain run: executes the flagship extraction pipeline plus a set of
-headline queries, prints ONE JSON line:
-  {"metric": ..., "value": <flagship sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "turns": T,
-   "turns_per_sec": ...}
+Plain run: times the flagship extraction pipeline (best of two runs)
+and then every QUERIES entry in registry order (best of two draws),
+writes the full per-query table with both draws to a JSON file under
+/tmp/graft_bench, and prints ONE compact JSON line (well under 1.5 KB):
+  {"metric": ..., "value": <flagship sec>, "unit": "sec", "sf": ...,
+   "num_cpus": N, "turns": T, "turns_per_sec": ...,
+   "flagship_runs_sec": [...], "bench_mult": M, "n_queries": Q,
+   "queries_total_sec": ..., "slowest_queries": {<5 slowest>},
+   "query_table": <path>}
+GRAFT_BENCH_ONLY_FLAGSHIP=1 skips the queries (the line then stops at
+bench_mult).
 
 --scaling: runs the flagship job twice in FRESH processes
-(num_cpus=8 then num_cpus=32) on the same input and prints both
+(num_cpus=2 then num_cpus=8) on the same input and prints both
 throughputs plus scaling efficiency (the in-sandbox evidence for the
 north rule's N-vs-4N-node criterion; levels are logical CPU slots on
 one node).
@@ -29,6 +36,12 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # underreports engine throughput 4-5x (round-1 verdict); mult=16
 # (~534k turns at sf0.1) amortizes session+read startup honestly.
 BENCH_MULT = int(os.environ.get("GRAFT_BENCH_MULT", "16"))
+# two draws per query, best one reported (like the flagship):
+# single-shot rows carry worker-pool/table-cache ramp (measured:
+# dedup_minhash_eval 7.7 s first draw vs 3.4-3.9 steady), so the
+# reported number should reflect plan cost, not ramp. Both draws go
+# to the per-query table so the ramp stays visible.
+QUERY_DRAWS = 2
 
 
 def _ensure_transcripts() -> str:
@@ -108,9 +121,8 @@ def _flagship_dataset():
 
     path = _ensure_transcripts()
     n_files = sum(1 for f in os.listdir(path) if f.endswith(".parquet"))
-    n_blocks = int(os.environ.get("GRAFT_READ_BLOCKS", "0")) or \
-        max(n_files, 2 * NUM_CPUS)
-    return run_extraction_from_parquet(path, override_num_blocks=n_blocks)
+    return run_extraction_from_parquet(
+        path, override_num_blocks=max(n_files, 2 * NUM_CPUS))
 
 
 def run_flagship() -> dict:
@@ -135,109 +147,25 @@ def run_flagship() -> dict:
 
 
 def run_queries() -> dict:
-    from pdf_parser_ray.queries import QUERIES
-    headline = ["q1_pricing_summary", "events_type_stats",
-                "orders_customer_join_stats", "docs_exact_dedup",
-                "docs_top_tokens", "embeddings_knn_bruteforce",
-                "dedup_minhash_word", "transcript_questions",
-                "events_sessions", "events_median_by_type",
-                "embeddings_knn_ivf", "events_approx_distinct_users",
-                "events_asof_join", "docs_training_mix",
-                "embeddings_kmeans", "docs_chunk_dedup",
-                "events_weighted_sample", "docs_pack_sequences",
-                "docs_incremental_dedup", "docs_cap_per_source",
-                "docs_strip_dup_spans", "docs_decontaminate",
-                "docs_tfidf_topk", "docs_shuffle_order",
-                "docs_quality_gate", "events_sliding_window",
-                "events_sorted_export", "events_ntile",
-                "docs_heavy_tokens", "docs_sliding_chunks",
-                "docs_jaccard_pairs", "events_rollup", "events_funnel",
-                "events_zorder_pruned_read", "events_value_mad_by_type",
-                "docs_bm25_topk",
-                "docs_freq_spectrum", "docs_length_buckets",
-                "embeddings_label_outliers", "events_transition_matrix",
-                "docs_bigram_novelty", "q5_local_supplier_volume",
-                "q18_large_orders", "docs_containment_pairs",
-                "events_hourly_anomaly",
-                # round 4: salted conv-keyed terminal stages, the
-                # bounded sketch-calibration eval, conversation-level
-                # near-dup (mergeable union signatures), split + resize
-                "transcript_strip_boilerplate", "transcript_sft_pairs",
-                "dedup_minhash_eval", "transcript_conv_near_dup",
-                "docs_train_val_test_split", "multimodal_resize_raw",
-                "docs_pii_scrub", "docs_curation_funnel",
-                # round 4 (late): sufficient-stats corr, per-source
-                # entropy, bitmask vocabulary-overlap matrix
-                "events_value_hour_corr", "docs_source_entropy",
-                "docs_vocab_overlap", "events_value_drift_psi",
-                "events_rolling_wau", "orders_customer_bucketed_join",
-                # continuation session: SemDeDup-style semantic dedup
-                # (tiled within-block cosine + recursive-CTE-oracled
-                # keep list) and the corpus-self unigram-CE quality
-                # proxy
-                "embeddings_semantic_pairs", "embeddings_semantic_dedup",
-                "embeddings_semantic_pairs_kmeans", "docs_unigram_ce",
-                "docs_gopher_rules", "docs_c4_filters",
-                # round 5: Gopher repetition-removal rules, DSIR
-                # hashed-unigram importance weighting, BPE pair counts
-                "docs_gopher_repetition", "docs_dsir_weights",
-                "docs_bpe_pair_counts", "docs_bigram_lm_ppl",
-                "docs_line_dedup", "events_user_cms_topk",
-                # round 5 (late): CCNet per-language perplexity
-                # terciles via the distributed grouped ROW_NUMBER
-                "docs_ccnet_buckets",
-                # round 5 (late): per-language rank-normalized quality
-                # percentile; distributed-trained hashed-logreg
-                # quality classifier (fastText-style)
-                "docs_quality_percentile", "docs_quality_classifier",
-                # round 5 (late): inverted-index export (mergeable
-                # bottom-k postings) and the C4 bad-words page gate
-                "docs_inverted_index", "docs_blocklist_filter",
-                # round 5 (late): product quantization — the
-                # compression half of the IVF-PQ ANN stack
-                "embeddings_pq_codes",
-                # round 5 (late): Q4/Q12/Q14 shapes — EXISTS semi
-                # join, preagg-before-join rollup, promo ratio
-                "q4_priority_semi_join", "q12_status_line_priority",
-                "q14_promo_share",
-                # round 5 (late): full iterative BPE merge training
-                # and the fixed-merge-table tokenizer APPLY pass
-                "docs_bpe_train", "docs_bpe_encode",
-                # round 5 (late): integer-exact PageRank over the
-                # event-type transition graph; type co-occurrence
-                # (market-basket prep); RFM NTILE segmentation; the
-                # Q10 returned-item report
-                "events_type_pagerank", "events_type_cooccurrence",
-                "events_user_rfm", "q10_returned_items",
-                # round 5 (late): Flesch readability (integer
-                # milli-score, one Arrow regex pass); distinct-bigram
-                # diversity ratio per source
-                "docs_readability", "docs_distinct_ngram_ratio",
-                # round 5 (late): p5/p95 winsorized robust stats;
-                # repurchase-interval histogram
-                "events_winsorized_stats", "orders_interorder_gap",
-                # round 5 (late): per-source char-class composition;
-                # hapax-legomena vocabulary richness
-                "docs_charclass_profile", "docs_hapax_ratio"]
-    # transcript_wave_extract is deliberately NOT a bench row: it is a
-    # commit-protocol demo (two full wave extractions + checkpointed
-    # writes + a driver-built fixture corpus, 12.8 s at sf0.1) whose
-    # throughput-relevant compute is exactly the flagship's
+    """{name: [draw seconds, ...]} for every registry query, in
+    registry order."""
     import gc
-    # two draws per query, headline = best (like the flagship):
-    # single-shot rows carry worker-pool/table-cache ramp (measured:
-    # dedup_minhash_eval 7.7 s first draw vs 3.4-3.9 steady), so the
-    # recorded number should reflect plan cost, not ramp. Both draws
-    # are kept in the output ("query_draws") so the ramp stays
-    # visible. GRAFT_BENCH_QUERY_DRAWS=1 restores single-shot.
-    draws = int(os.environ.get("GRAFT_BENCH_QUERY_DRAWS", "2"))
-    out, all_draws = {}, {}
-    for name in headline:
-        times = []
-        for _ in range(draws):
+
+    from pdf_parser_ray.queries import QUERIES
+    table = {}
+    for name, query in QUERIES.items():
+        # transcript_wave_extract is deliberately NOT a bench row: it is
+        # a commit-protocol demo (two full wave extractions +
+        # checkpointed writes + a driver-built fixture corpus, 12.8 s at
+        # sf0.1) whose throughput-relevant compute is exactly the
+        # flagship's
+        if name == "transcript_wave_extract":
+            continue
+        draws = []
+        for _ in range(QUERY_DRAWS):
             t0 = time.perf_counter()
-            QUERIES[name](SF_DIR)
-            times.append(time.perf_counter() - t0)
+            query(SF_DIR)
+            draws.append(round(time.perf_counter() - t0, 3))
             # release the query's Dataset/ObjectRef graph NOW: dropped
             # results sit in reference CYCLES until a full gc pass, and
             # the pinned object-store blocks they hold degraded
@@ -245,9 +173,28 @@ def run_queries() -> dict:
             # 9.0-9.7 s after a 30-query session without this, 2.7 s
             # with it; 2.8-3.9 s in a fresh session)
             gc.collect()
-        out[name] = round(min(times), 3)
-        all_draws[name] = [round(t, 3) for t in times]
-    return out, all_draws
+        table[name] = draws
+    return table
+
+
+def _query_summary(table: dict) -> dict:
+    """Write the full per-query table to a file; summarize it for the
+    one-line record."""
+    best = {name: min(draws) for name, draws in table.items()}
+    os.makedirs("/tmp/graft_bench", exist_ok=True)
+    path = (f"/tmp/graft_bench/queries_{SF_DIR.strip('/').replace('/', '_')}"
+            f"_c{NUM_CPUS}_{time.strftime('%Y%m%dT%H%M%S')}.json")
+    with open(path, "w") as f:
+        json.dump({"sf": SF_DIR, "num_cpus": NUM_CPUS,
+                   "queries": {name: {"best_sec": best[name],
+                                      "draws_sec": draws}
+                               for name, draws in table.items()}},
+                  f, indent=1)
+    slowest = sorted(best, key=best.get, reverse=True)[:5]
+    return {"n_queries": len(best),
+            "queries_total_sec": round(sum(best.values()), 3),
+            "slowest_queries": {name: best[name] for name in slowest},
+            "query_table": path}
 
 
 def main():
@@ -255,32 +202,30 @@ def main():
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
+    DataContext.get_current().enable_progress_bars = False
 
-    # warm the page cache so the timed run measures compute+shuffle
+    # warm the page cache so the timed runs measure compute+shuffle
     import pyarrow.parquet as pq
     for t in ("documents", "lineitem", "orders", "customer", "events",
               "embeddings"):
         pq.read_table(f"{SF_DIR}/{t}.parquet")
 
     flagship = run_flagship()
-    queries, query_draws = run_queries()
-    ray.shutdown()
-
-    print(json.dumps({
+    record = {
         "metric": "flagship_extraction_wall_sec",
         "value": flagship["sec"],
         "unit": "sec",
-        "queries": queries,
-        "query_draws": query_draws,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
         "turns": flagship["turns"],
         "turns_per_sec": flagship["turns_per_sec"],
         "flagship_runs_sec": flagship["flagship_runs_sec"],
         "bench_mult": BENCH_MULT,
-    }))
+    }
+    if not os.environ.get("GRAFT_BENCH_ONLY_FLAGSHIP"):
+        record.update(_query_summary(run_queries()))
+    ray.shutdown()
+    print(json.dumps(record))
 
 
 def scaling():
@@ -326,20 +271,5 @@ def scaling():
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
         scaling()
-    elif os.environ.get("GRAFT_BENCH_ONLY_FLAGSHIP"):
-        import ray
-        ray.init(address="local", num_cpus=NUM_CPUS,
-                 include_dashboard=False, ignore_reinit_error=True,
-                 logging_level="ERROR")
-        from ray.data import DataContext
-        DataContext.get_current().enable_progress_bars = False
-        import pyarrow.parquet as pq
-        pq.read_table(f"{SF_DIR}/documents.parquet")
-        flagship = run_flagship()
-        ray.shutdown()
-        print(json.dumps({"metric": "flagship_extraction_wall_sec",
-                          "value": flagship["sec"], "unit": "sec",
-                          "queries": {}, "sf": SF_DIR,
-                          "num_cpus": NUM_CPUS, **flagship}))
     else:
         main()

@@ -60,7 +60,7 @@ def extract_dataset(transcripts):
     return transcripts.map_batches(extract_batch, batch_format="pyarrow")
 
 
-def compare_strategies(transcripts, strategies, *, batch_size: int = 512):
+def compare_strategies(transcripts, strategies):
     """Run N extraction strategies over the SAME transcript Dataset and
     return {strategy_name: extracted Dataset} — the analog of the
     reference's multi-strategy comparison harness
@@ -80,7 +80,7 @@ def compare_strategies(transcripts, strategies, *, batch_size: int = 512):
                   ("pdf_layout", "colored", "vision", "layoutlm", "html", "")}
         out[name] = transcripts.map_batches(
             functools.partial(extract_batch, registry=forced),
-            batch_format="pyarrow", batch_size=batch_size)
+            batch_format="pyarrow")
     return out
 
 

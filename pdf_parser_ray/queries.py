@@ -5553,178 +5553,69 @@ def docs_line_dedup(sf_dir: str) -> pd.DataFrame:
 # ----------------------------------------------------------------- registry
 
 # Registry order contract: the correctness driver samples the FIRST 50
-# entries of this dict each round. Those 50 are therefore ALL oracled
-# (pinned by tests/test_queries_oracle.py::test_driver_window_is_all_oracled):
-# the 36 oracled queries rounds 1-4 never sampled lead, followed by 14
-# previously-driver-verified entries; rows-only queries (no SQL oracle
-# possible: iterative kmeans, measured ANN recall, extraction surfaces)
-# sit past the window where the driver's weaker rows-only check applies.
-QUERIES = {
-    "tpch_fk_audit": tpch_fk_audit,
-    "events_value_mad_by_type": events_value_mad_by_type,
-    "docs_pack_sequences": docs_pack_sequences,
-    "docs_length_buckets": docs_length_buckets,
-    "docs_source_lang_rollup": docs_source_lang_rollup,
-    "events_user_spend_cume": events_user_spend_cume,
-    "docs_cap_per_source": docs_cap_per_source,
-    "docs_temperature_mix": docs_temperature_mix,
-    "docs_token_budget_mix": docs_token_budget_mix,
-    "docs_decontaminate": docs_decontaminate,
-    "docs_tfidf_topk": docs_tfidf_topk,
-    "docs_bm25_topk": docs_bm25_topk,
-    "docs_shuffle_order": docs_shuffle_order,
-    "docs_gopher_rules": docs_gopher_rules,
-    "docs_c4_filters": docs_c4_filters,
-    "docs_quality_gate": docs_quality_gate,
-    "docs_freq_spectrum": docs_freq_spectrum,
-    "docs_heavy_tokens": docs_heavy_tokens,
-    "docs_sliding_chunks": docs_sliding_chunks,
-    "docs_bigram_lift": docs_bigram_lift,
-    "docs_bigram_novelty": docs_bigram_novelty,
-    "docs_pii_scrub": docs_pii_scrub,
-    "docs_curation_funnel": docs_curation_funnel,
-    "embeddings_semantic_pairs": embeddings_semantic_pairs,
-    "embeddings_semantic_pairs_kmeans": embeddings_semantic_pairs_kmeans,
-    "embeddings_semantic_dedup": embeddings_semantic_dedup,
-    "docs_unigram_ce": docs_unigram_ce,
-    "docs_jaccard_pairs": docs_jaccard_pairs,
-    "docs_containment_pairs": docs_containment_pairs,
-    "docs_train_val_test_split": docs_train_val_test_split,
-    "events_value_hour_corr": events_value_hour_corr,
-    "docs_source_entropy": docs_source_entropy,
-    "docs_vocab_overlap": docs_vocab_overlap,
-    "events_value_drift_psi": events_value_drift_psi,
-    "events_rolling_wau": events_rolling_wau,
-    "orders_customer_bucketed_join": orders_customer_bucketed_join,
-    "q1_pricing_summary": q1_pricing_summary,
-    "q6_forecast_revenue": q6_forecast_revenue,
-    "lineitem_filter_project": lineitem_filter_project,
-    "orders_customer_join_stats": orders_customer_join_stats,
-    "events_type_stats": events_type_stats,
-    "events_sessions": events_sessions,
-    "events_sorted_export": events_sorted_export,
-    "docs_exact_dedup": docs_exact_dedup,
-    "docs_clean_text": docs_clean_text,
-    "events_props_stats": events_props_stats,
-    "docs_lang_id": docs_lang_id,
-    "docs_training_mix": docs_training_mix,
-    "docs_token_counts": docs_token_counts,
-    "docs_fingerprint": docs_fingerprint,
-    "orders_priority_count": orders_priority_count,
-    "top_customers_by_spend": top_customers_by_spend,
-    "q3_shipping_topk": q3_shipping_topk,
-    "q5_local_supplier_volume": q5_local_supplier_volume,
-    "q18_large_orders": q18_large_orders,
-    "customer_orders_full_outer": customer_orders_full_outer,
-    "orders_version_diff": orders_version_diff,
-    "customer_nation_stats": customer_nation_stats,
-    "events_hourly_counts": events_hourly_counts,
-    "events_user_topk": events_user_topk,
-    "events_user_hourly": events_user_hourly,
-    "events_running_sum": events_running_sum,
-    "events_top_per_user": events_top_per_user,
-    "events_value_delta": events_value_delta,
-    "events_distinct_users_by_type": events_distinct_users_by_type,
-    "events_profile": events_profile,
-    "events_hourly_p95": events_hourly_p95,
-    "events_hourly_anomaly": events_hourly_anomaly,
-    "events_cohort_retention": events_cohort_retention,
-    "events_transition_matrix": events_transition_matrix,
-    "events_hourly_pivot": events_hourly_pivot,
-    "events_hourly_gap_fill": events_hourly_gap_fill,
-    "events_sliding_window": events_sliding_window,
-    "events_rollup": events_rollup,
-    "events_funnel": events_funnel,
-    "events_zorder_pruned_read": events_zorder_pruned_read,
-    "events_ntile": events_ntile,
-    "events_hourly_moving_avg": events_hourly_moving_avg,
-    "events_asof_join": events_asof_join,
-    "events_asof_window": events_asof_window,
-    "events_asof_left": events_asof_left,
-    "events_session_attrib": events_session_attrib,
-    "docs_stratified_sample": docs_stratified_sample,
-    "embeddings_kmeans": embeddings_kmeans,
-    "embeddings_label_outliers": embeddings_label_outliers,
-    "embeddings_knn_confusion": embeddings_knn_confusion,
-    "events_median_sketch": events_median_sketch,
-    "docs_chunk_dedup": docs_chunk_dedup,
-    "embeddings_ann_recall": embeddings_ann_recall,
-    "events_weighted_sample": events_weighted_sample,
-    "docs_commonness": docs_commonness,
-    "lineitem_join_sample": lineitem_join_sample,
-    "docs_exact_dedup_indexed": docs_exact_dedup_indexed,
-    "transcript_train_shards": transcript_train_shards,
-    "transcript_wave_extract": transcript_wave_extract,
-    "parts_anti_join": parts_anti_join,
-    "parts_semi_join": parts_semi_join,
-    "events_median_by_type": events_median_by_type,
-    "events_quantiles_by_type": events_quantiles_by_type,
-    "events_approx_distinct_users": events_approx_distinct_users,
-    "parts_bloom_prefilter": parts_bloom_prefilter,
-    "events_distinct_types": events_distinct_types,
-    "events_dedup_user_type": events_dedup_user_type,
-    "docs_incremental_dedup": docs_incremental_dedup,
-    "docs_strip_dup_spans": docs_strip_dup_spans,
-    "docs_quality_scores": docs_quality_scores,
-    "docs_top_tokens": docs_top_tokens,
-    "docs_lang_counts": docs_lang_counts,
-    "docs_repetition_ratio": docs_repetition_ratio,
-    "embeddings_knn_bruteforce": embeddings_knn_bruteforce,
-    "embeddings_knn_lsh": embeddings_knn_lsh,
-    "embeddings_knn_ivf": embeddings_knn_ivf,
-    "embeddings_near_dup": embeddings_near_dup,
-    "dedup_minhash_word": dedup_minhash_word,
-    "dedup_cluster_stats": dedup_cluster_stats,
-    "dedup_minhash_eval": dedup_minhash_eval,
-    "dedup_minhash_keep": dedup_minhash_keep,
-    "dedup_ngram_char": dedup_ngram_char,
-    "dedup_simhash": dedup_simhash,
-    "docs_winnow_fingerprints": docs_winnow_fingerprints,
-    "flagship_extract": flagship_extract,
-    "transcript_strip_boilerplate": transcript_strip_boilerplate,
-    "transcript_sft_pairs": transcript_sft_pairs,
-    "transcript_tool_error_rates": transcript_tool_error_rates,
-    "transcript_questions": transcript_questions,
-    "conversation_markdown": conversation_markdown,
-    "transcript_exact_dedup": transcript_exact_dedup,
-    "conversation_json_envelopes": conversation_json_envelopes,
-    "conversation_markdown_c001": conversation_markdown_c001,
-    "questions_reports": questions_reports,
-    "extract_compare_strategies": extract_compare_strategies,
-    "transcript_turnspec_filter": transcript_turnspec_filter,
-    "multimodal_decode": multimodal_decode,
-    "multimodal_frames": multimodal_frames,
-    "multimodal_resize_raw": multimodal_resize_raw,
-    "transcript_conv_near_dup": transcript_conv_near_dup,
-    "multimodal_audio_chunks": multimodal_audio_chunks,
-    "docs_gopher_repetition": docs_gopher_repetition,
-    "docs_dsir_weights": docs_dsir_weights,
-    "docs_bpe_pair_counts": docs_bpe_pair_counts,
-    "docs_bigram_lm_ppl": docs_bigram_lm_ppl,
-    "docs_line_dedup": docs_line_dedup,
-    "events_user_cms_topk": events_user_cms_topk,
-    "docs_ccnet_buckets": docs_ccnet_buckets,
-    "docs_quality_percentile": docs_quality_percentile,
-    "docs_quality_classifier": docs_quality_classifier,
-    "docs_inverted_index": docs_inverted_index,
-    "docs_blocklist_filter": docs_blocklist_filter,
-    "embeddings_pq_codes": embeddings_pq_codes,
-    "q4_priority_semi_join": q4_priority_semi_join,
-    "q12_status_line_priority": q12_status_line_priority,
-    "q14_promo_share": q14_promo_share,
-    "docs_bpe_train": docs_bpe_train,
-    "docs_bpe_encode": docs_bpe_encode,
-    "events_type_pagerank": events_type_pagerank,
-    "events_type_cooccurrence": events_type_cooccurrence,
-    "q10_returned_items": q10_returned_items,
-    "events_user_rfm": events_user_rfm,
-    "docs_readability": docs_readability,
-    "docs_distinct_ngram_ratio": docs_distinct_ngram_ratio,
-    "events_winsorized_stats": events_winsorized_stats,
-    "orders_interorder_gap": orders_interorder_gap,
-    "docs_charclass_profile": docs_charclass_profile,
-    "docs_hapax_ratio": docs_hapax_ratio,
-}
+# entries each round, so those 50 are all oracled (pinned by
+# tests/test_queries_oracle.py::test_driver_window_is_all_oracled).
+# Rows-only queries (no SQL oracle possible: iterative kmeans, measured
+# ANN recall, extraction surfaces) sit past the window, where the
+# driver's weaker rows-only check applies. This tuple is the one
+# place a query is declared: bench.py and the tests read it.
+QUERIES = {f.__name__: f for f in (
+    tpch_fk_audit, events_value_mad_by_type, docs_pack_sequences,
+    docs_length_buckets, docs_source_lang_rollup, events_user_spend_cume,
+    docs_cap_per_source, docs_temperature_mix, docs_token_budget_mix,
+    docs_decontaminate, docs_tfidf_topk, docs_bm25_topk, docs_shuffle_order,
+    docs_gopher_rules, docs_c4_filters, docs_quality_gate, docs_freq_spectrum,
+    docs_heavy_tokens, docs_sliding_chunks, docs_bigram_lift,
+    docs_bigram_novelty, docs_pii_scrub, docs_curation_funnel,
+    embeddings_semantic_pairs, embeddings_semantic_pairs_kmeans,
+    embeddings_semantic_dedup, docs_unigram_ce, docs_jaccard_pairs,
+    docs_containment_pairs, docs_train_val_test_split, events_value_hour_corr,
+    docs_source_entropy, docs_vocab_overlap, events_value_drift_psi,
+    events_rolling_wau, orders_customer_bucketed_join, q1_pricing_summary,
+    q6_forecast_revenue, lineitem_filter_project, orders_customer_join_stats,
+    events_type_stats, events_sessions, events_sorted_export, docs_exact_dedup,
+    docs_clean_text, events_props_stats, docs_lang_id, docs_training_mix,
+    docs_token_counts, docs_fingerprint,
+    # ---- end of the driver window
+    orders_priority_count, top_customers_by_spend, q3_shipping_topk,
+    q5_local_supplier_volume, q18_large_orders, customer_orders_full_outer,
+    orders_version_diff, customer_nation_stats, events_hourly_counts,
+    events_user_topk, events_user_hourly, events_running_sum,
+    events_top_per_user, events_value_delta, events_distinct_users_by_type,
+    events_profile, events_hourly_p95, events_hourly_anomaly,
+    events_cohort_retention, events_transition_matrix, events_hourly_pivot,
+    events_hourly_gap_fill, events_sliding_window, events_rollup,
+    events_funnel, events_zorder_pruned_read, events_ntile,
+    events_hourly_moving_avg, events_asof_join, events_asof_window,
+    events_asof_left, events_session_attrib, docs_stratified_sample,
+    embeddings_kmeans, embeddings_label_outliers, embeddings_knn_confusion,
+    events_median_sketch, docs_chunk_dedup, embeddings_ann_recall,
+    events_weighted_sample, docs_commonness, lineitem_join_sample,
+    docs_exact_dedup_indexed, transcript_train_shards, transcript_wave_extract,
+    parts_anti_join, parts_semi_join, events_median_by_type,
+    events_quantiles_by_type, events_approx_distinct_users,
+    parts_bloom_prefilter, events_distinct_types, events_dedup_user_type,
+    docs_incremental_dedup, docs_strip_dup_spans, docs_quality_scores,
+    docs_top_tokens, docs_lang_counts, docs_repetition_ratio,
+    embeddings_knn_bruteforce, embeddings_knn_lsh, embeddings_knn_ivf,
+    embeddings_near_dup, dedup_minhash_word, dedup_cluster_stats,
+    dedup_minhash_eval, dedup_minhash_keep, dedup_ngram_char, dedup_simhash,
+    docs_winnow_fingerprints, flagship_extract, transcript_strip_boilerplate,
+    transcript_sft_pairs, transcript_tool_error_rates, transcript_questions,
+    conversation_markdown, transcript_exact_dedup, conversation_json_envelopes,
+    conversation_markdown_c001, questions_reports, extract_compare_strategies,
+    transcript_turnspec_filter, multimodal_decode, multimodal_frames,
+    multimodal_resize_raw, transcript_conv_near_dup, multimodal_audio_chunks,
+    docs_gopher_repetition, docs_dsir_weights, docs_bpe_pair_counts,
+    docs_bigram_lm_ppl, docs_line_dedup, events_user_cms_topk,
+    docs_ccnet_buckets, docs_quality_percentile, docs_quality_classifier,
+    docs_inverted_index, docs_blocklist_filter, embeddings_pq_codes,
+    q4_priority_semi_join, q12_status_line_priority, q14_promo_share,
+    docs_bpe_train, docs_bpe_encode, events_type_pagerank,
+    events_type_cooccurrence, q10_returned_items, events_user_rfm,
+    docs_readability, docs_distinct_ngram_ratio, events_winsorized_stats,
+    orders_interorder_gap, docs_charclass_profile, docs_hapax_ratio,
+)}
 
 _BPE_SQL = r"[A-Za-z0-9_]+|[^A-Za-z0-9_ \t\n\r\f\v]"
 

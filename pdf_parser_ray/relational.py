@@ -11,7 +11,8 @@ harness exercises, each built the Ray-Data-first way:
 - topk:             per-batch top-k partials -> k x |blocks| rows ->
                     final top-k. No global sort.
 - broadcast_join:   ray.put the small side ONCE; every actor reads it
-                    in __init__ and merges per batch. No shuffle.
+                    in __init__ and merges per batch. No shuffle;
+                    NULL keys never match.
 - hash_join:        both sides large: stable-bucket both sides on the
                     key, union, one groupby('bucket') shuffle, pandas
                     merge per bucket. Buckets ≫ nodes bounds skew.
@@ -319,40 +320,6 @@ def guard_broadcast_bytes(nbytes: int, what: str, remedy: str) -> None:
 
 # -------------------------------------------------------------------- joins
 
-class _BroadcastJoiner:
-    """Actor-pool merge against a ray.put() small side: shipped once to
-    the object store, fetched once per actor in __init__, zero-copy
-    shared thereafter (SURVEY.md §2.4 J1 broadcast-lookup pattern)."""
-
-    def __init__(self, small_ref, on, how):
-        import ray
-        self.small = ray.get(small_ref)
-        self.on = on
-        self.how = how
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.merge(self.small, on=self.on, how=self.how)
-
-
-def broadcast_join(ds, small_df: pd.DataFrame, on, how: str = "inner",
-                   batch_size=None, concurrency=None):
-    import ray
-    if concurrency is None:
-        # size the pool to the cluster (leaving shuffle headroom); a
-        # hard (1, 2) cap would throttle the big-side merge to 2 actors
-        cpus = int(ray.cluster_resources().get("CPU", 4)) \
-            if ray.is_initialized() else 4
-        concurrency = (1, max(1, cpus - 2))
-    guard_broadcast_bytes(
-        int(small_df.memory_usage(deep=True).sum()),
-        "broadcast_join small side",
-        "use hash_join (co-partitioned) for two large sides")
-    ref = ray.put(small_df)
-    return ds.map_batches(_BroadcastJoiner, batch_format="pandas",
-                          batch_size=batch_size, concurrency=concurrency,
-                          fn_constructor_args=(ref, on, how))
-
-
 class _EquiJoiner:
     """Map-side equi-join against a broadcast non-preserved side:
     fetched once per actor in __init__ (a pandas frame re-unpickles on
@@ -386,16 +353,43 @@ class _EquiJoiner:
 
 
 def _broadcast_equi_join(probe, ref, *, on, how, probe_is_left,
-                         all_names, probe_key_is_int,
-                         batch_size=None):
+                         all_names, probe_key_is_int):
     import ray
+    # size the pool to the cluster (leaving shuffle headroom); a hard
+    # (1, 2) cap would throttle the big-side merge to 2 actors
     cpus = int(ray.cluster_resources().get("CPU", 4)) \
         if ray.is_initialized() else 4
     return probe.map_batches(
-        _EquiJoiner, batch_format="pandas", batch_size=batch_size,
+        _EquiJoiner, batch_format="pandas",
         concurrency=(1, max(1, cpus - 2)),
         fn_constructor_args=(ref, on, how, all_names, probe_is_left,
                              probe_key_is_int))
+
+
+def broadcast_join(ds, small_df: pd.DataFrame, on: str,
+                   how: str = "inner"):
+    """Map-side join of ``ds`` against a driver-built frame, through
+    the same _EquiJoiner as hash_join's broadcast path: NULL keys never
+    match (SQL semantics; a plain pandas merge joins NaN to NaN)."""
+    import ray
+    if how not in ("inner", "left"):
+        raise ValueError(
+            f"broadcast_join supports inner/left, got {how!r}")
+    guard_broadcast_bytes(
+        int(small_df.memory_usage(deep=True).sum()),
+        "broadcast_join small side",
+        "use hash_join (co-partitioned) for two large sides")
+    schema = ds.schema()
+    names = list(schema.names)
+    small_only = [c for c in small_df.columns if c != on]
+    if set(names) & set(small_only):
+        raise ValueError(
+            f"column overlap besides key: {set(names) & set(small_only)}")
+    key_t = _as_arrow(schema.types[names.index(on)])
+    return _broadcast_equi_join(
+        ds, ray.put(small_df), on=on, how=how, probe_is_left=True,
+        all_names=names + small_only,
+        probe_key_is_int=pa.types.is_integer(key_t))
 
 
 def hash_join(left, right, on: str, how: str = "inner",

@@ -17,3 +17,15 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def gc_between_queries():
+    """Release each query's Dataset/ObjectRef graph before the next
+    one runs: dropped results sit in reference cycles until a full gc
+    pass, and the pinned object-store blocks degraded late-list
+    queries ~3x in long sessions (same finding as bench.py's
+    run_queries)."""
+    yield
+    import gc
+    gc.collect()

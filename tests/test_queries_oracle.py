@@ -2,39 +2,19 @@
 subset must match DuckDB on the same parquet (values compared
 order-insensitively, like the driver)."""
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 from pdf_parser_ray.queries import ORACLES, QUERIES
-from tests.oracle_compare import canon
+from tests.oracle_compare import assert_oracle_match, canon, oracle_frame
 
 SF_DIR = "/root/testdata/sf0.001"
-TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings"]
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in TABLES:
-        c.sql(f"CREATE VIEW {t} AS SELECT * FROM '{SF_DIR}/{t}.parquet'")
-    return c
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
-def test_sql_oracle_match(ray_session, con, name):
-    got = QUERIES[name](SF_DIR)
-    if not isinstance(got, pd.DataFrame):
-        got = got.to_pandas()
-    want = con.sql(ORACLES[name]).df()
-    assert sorted(got.columns) == sorted(want.columns), (
-        f"{name}: column mismatch {got.columns} vs {want.columns}")
-    g, w = canon(got), canon(want)
-    assert len(g) == len(w), f"{name}: {len(g)} rows vs oracle {len(w)}"
-    pd.testing.assert_frame_equal(g, w, check_dtype=False,
-                                  check_exact=False, rtol=0, atol=1e-6)
+def test_sql_oracle_match(ray_session, gc_between_queries, name):
+    assert_oracle_match(SF_DIR, name)
 
 
 @pytest.mark.parametrize("name", sorted(set(QUERIES) - set(ORACLES)))
@@ -67,8 +47,10 @@ def test_driver_entry_contract(ray_session):
 
 
 def test_readme_registry_counts_in_sync():
-    """README's registry counts are asserted against the live registry
-    so the doc can't drift (r3 VERDICT item 5)."""
+    """README's registry counts and its family table are asserted
+    against the live registry so the doc can't drift (r3 VERDICT item
+    5): the table's oracled column names exactly the ORACLES keys and
+    its rows+pytest column exactly the other QUERIES."""
     import re
     text = open("README.md").read()
     for pat in (r"(\d+) driver-harness queries; (\d+) with DuckDB",
@@ -77,6 +59,15 @@ def test_readme_registry_counts_in_sync():
         assert m, f"README registry count line missing: {pat}"
         assert int(m.group(1)) == len(QUERIES), (pat, m.group(1))
         assert int(m.group(2)) == len(ORACLES), (pat, m.group(2))
+    table = text.split("| family | oracled | rows+pytest |\n")[1]
+    oracled, rows_only = set(), set()
+    for row in table.split("\n\n")[0].splitlines()[1:]:
+        _, _, o, r, _ = row.split("|")
+        oracled |= set(re.findall(r"`(\w+)`", o))
+        rows_only |= set(re.findall(r"`(\w+)`", r))
+    assert oracled == set(ORACLES), (oracled ^ set(ORACLES))
+    assert rows_only == set(QUERIES) - set(ORACLES), (
+        rows_only ^ (set(QUERIES) - set(ORACLES)))
 
 
 def test_driver_window_is_all_oracled():
@@ -223,10 +214,7 @@ def test_curation_funnel_oracle_gated_out_source(ray_session, tmp_path):
     sf.mkdir()
     docs.to_parquet(sf / "documents.parquet", index=False)
     got = QUERIES["docs_curation_funnel"](str(sf))
-    c = duckdb.connect()
-    c.sql(f"CREATE VIEW documents AS SELECT * "
-          f"FROM '{sf}/documents.parquet'")
-    want = c.sql(ORACLES["docs_curation_funnel"]).df()
+    want = oracle_frame(sf, "docs_curation_funnel")
     assert "junk" in set(want["source"]), \
         "oracle dropped the fully-gated-out source row"
     g, w = canon(got), canon(want)
@@ -358,17 +346,6 @@ def _write_events(path, rows):
         str(path / "events.parquet"))
 
 
-def _oracle_on(tmp, name):
-    c = duckdb.connect()
-    for t in ("documents", "events", "orders", "lineitem",
-              "customer", "nation", "supplier", "part", "region",
-              "embeddings"):
-        p = tmp / f"{t}.parquet"
-        if p.exists():
-            c.sql(f"CREATE VIEW {t} AS SELECT * FROM '{p}'")
-    return c.sql(ORACLES[name]).df()
-
-
 def test_vocab_overlap_tokenless_source_matches_oracle(ray_session,
                                                        tmp_path):
     """A source whose every doc tokenizes to nothing must be OMITTED
@@ -379,7 +356,7 @@ def test_vocab_overlap_tokenless_source_matches_oracle(ray_session,
                            (4, "   ", "c"), (5, "", "c"),
                            (6, " \t ", "d")])
     got = QUERIES["docs_vocab_overlap"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_vocab_overlap")
+    want = oracle_frame(tmp_path, "docs_vocab_overlap")
     assert list(got["source_a"]) == ["a"] and list(got["source_b"]) == ["b"]
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
@@ -393,7 +370,7 @@ def test_drift_psi_negative_values_match_oracle(ray_session, tmp_path):
         [-1.0, -120.5, -0.01, 3.0, 499.99, 250.0, -75.25, 10.0] * 4)]
     _write_events(tmp_path, rows)
     got = QUERIES["events_value_drift_psi"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_value_drift_psi")
+    want = oracle_frame(tmp_path, "events_value_drift_psi")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert (got["n_first"] + got["n_second"]).sum() == len(rows)
@@ -409,7 +386,7 @@ def test_corr_degenerate_groups_match_oracle(ray_session, tmp_path):
             [(30 + i, i, "healthy", 1.0 + 2.0 * i) for i in range(6)])
     _write_events(tmp_path, rows)
     got = QUERIES["events_value_hour_corr"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_value_hour_corr")
+    want = oracle_frame(tmp_path, "events_value_hour_corr")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("event_type")
@@ -483,7 +460,7 @@ def test_rolling_wau_gap_days_match_oracle(ray_session, tmp_path):
         "props": pa.array(["{}"] * len(rows), pa.string())}),
         str(tmp_path / "events.parquet"))
     got = QUERIES["events_rolling_wau"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_rolling_wau")
+    want = oracle_frame(tmp_path, "events_rolling_wau")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index(got["day"].dt.day)   # days: Mar 1/3/10/11
@@ -525,7 +502,7 @@ def test_dsir_weights_edges_match_oracle(ray_session, tmp_path):
         (5, "", "de"),                     # empty: no row
     ])
     got = QUERIES["docs_dsir_weights"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_dsir_weights")
+    want = oracle_frame(tmp_path, "docs_dsir_weights")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert set(got["doc_id"]) == {1, 2, 3}
@@ -546,7 +523,7 @@ def test_dsir_weights_no_target_slice(ray_session, tmp_path):
         (2, "alpha alpha", "zh"),
     ])
     got = QUERIES["docs_dsir_weights"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_dsir_weights")
+    want = oracle_frame(tmp_path, "docs_dsir_weights")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert len(got) == 2 and (got["selected"] == 0).all()
@@ -567,7 +544,7 @@ def test_bpe_pair_counts_hand_computed(ray_session, tmp_path):
         (4, "", "s"),
     ])
     got = QUERIES["docs_bpe_pair_counts"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_bpe_pair_counts")
+    want = oracle_frame(tmp_path, "docs_bpe_pair_counts")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("pair")["cnt"]
@@ -590,7 +567,7 @@ def test_bpe_pair_counts_empty_and_limit_tie(ray_session, tmp_path):
     words = [chr(97 + i) * 2 for i in range(26)]  # aa bb .. zz
     _write_docs(tmp_path, [(1, " ".join(words), "s")])
     got = QUERIES["docs_bpe_pair_counts"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_bpe_pair_counts")
+    want = oracle_frame(tmp_path, "docs_bpe_pair_counts")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert list(got["pair"]) == [w for w in sorted(words)][:20]
@@ -608,7 +585,7 @@ def test_bpe_encode_hand_computed(ray_session, tmp_path):
         (3, "", "s"),
     ])
     got = QUERIES["docs_bpe_encode"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_bpe_encode")
+    want = oracle_frame(tmp_path, "docs_bpe_encode")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("symbol")["n"]
@@ -655,7 +632,7 @@ def test_hapax_ratio_hand_computed(ray_session, tmp_path):
         (3, "   ", "s2"),
     ])
     got = QUERIES["docs_hapax_ratio"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_hapax_ratio")
+    want = oracle_frame(tmp_path, "docs_hapax_ratio")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert list(got["source"]) == ["s1"]
@@ -680,7 +657,7 @@ def test_charclass_profile_hand_computed(ray_session, tmp_path):
         (3, "", "s2"),
     ])
     got = QUERIES["docs_charclass_profile"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_charclass_profile")
+    want = oracle_frame(tmp_path, "docs_charclass_profile")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("source")
@@ -714,7 +691,7 @@ def test_interorder_gap_hand_computed(ray_session, tmp_path):
 
     write([(1, 1, 0), (2, 1, 7), (3, 1, 7), (4, 1, 21), (5, 2, 3)])
     got = QUERIES["orders_interorder_gap"](str(tmp_path))
-    want = _oracle_on(tmp_path, "orders_interorder_gap")
+    want = oracle_frame(tmp_path, "orders_interorder_gap")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("gap_week_bucket")["n_gaps"]
@@ -735,7 +712,7 @@ def test_winsorized_stats_hand_computed(ray_session, tmp_path):
     rows = [(i, i % 24, "t", float(i + 1)) for i in range(20)]
     _write_events(tmp_path, rows)
     got = QUERIES["events_winsorized_stats"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_winsorized_stats")
+    want = oracle_frame(tmp_path, "events_winsorized_stats")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     r = got.iloc[0]
@@ -761,7 +738,7 @@ def test_distinct_ngram_ratio_hand_computed(ray_session, tmp_path):
         (4, "lone", "s1"),
     ])
     got = QUERIES["docs_distinct_ngram_ratio"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_distinct_ngram_ratio")
+    want = oracle_frame(tmp_path, "docs_distinct_ngram_ratio")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("source")
@@ -790,7 +767,7 @@ def test_readability_hand_computed(ray_session, tmp_path):
         (5, "", "s"),
     ])
     got = QUERIES["docs_readability"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_readability")
+    want = oracle_frame(tmp_path, "docs_readability")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index("doc_id")
@@ -835,7 +812,7 @@ def test_type_cooccurrence_hand_computed(ray_session, tmp_path):
             (6, 0, 3, "C", 1.0)]
     _write_events_users(tmp_path, rows)
     got = QUERIES["events_type_cooccurrence"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_type_cooccurrence")
+    want = oracle_frame(tmp_path, "events_type_cooccurrence")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     by = got.set_index(["type_a", "type_b"])["n_users"]
@@ -862,7 +839,7 @@ def test_user_rfm_hand_computed(ray_session, tmp_path):
             eid += 1
     _write_events_users(tmp_path, rows)
     got = QUERIES["events_user_rfm"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_user_rfm")
+    want = oracle_frame(tmp_path, "events_user_rfm")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert got["n_users"].sum() == 5
@@ -887,7 +864,7 @@ def test_pagerank_hand_computed(ray_session, tmp_path):
             enumerate(["A", "B", "A", "B", "C", "A", "D"])]
     _write_events(tmp_path, rows)
     got = QUERIES["events_type_pagerank"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_type_pagerank")
+    want = oracle_frame(tmp_path, "events_type_pagerank")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     S = 10 ** 9
@@ -954,7 +931,7 @@ def test_pagerank_literal_start_type(ray_session, tmp_path):
             (2, 2, 1, "B", 1.0), (3, 0, 2, "(start)", 1.0)]
     _write_events_users(tmp_path, rows)
     got = QUERIES["events_type_pagerank"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_type_pagerank")
+    want = oracle_frame(tmp_path, "events_type_pagerank")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert set(got["event_type"]) == {"A", "B", "(start)"}
@@ -966,7 +943,7 @@ def test_pagerank_degenerate_corpora(ray_session, tmp_path):
     empty frame."""
     _write_events(tmp_path, [(0, 0, "only", 1.0)])
     got = QUERIES["events_type_pagerank"](str(tmp_path))
-    want = _oracle_on(tmp_path, "events_type_pagerank")
+    want = oracle_frame(tmp_path, "events_type_pagerank")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert got["rank_scaled"].tolist() == [150000000]
@@ -990,7 +967,7 @@ def test_bigram_lm_ppl_hand_computed(ray_session, tmp_path):
         (4, "", "s"),
     ])
     got = QUERIES["docs_bigram_lm_ppl"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_bigram_lm_ppl")
+    want = oracle_frame(tmp_path, "docs_bigram_lm_ppl")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     assert set(got["doc_id"]) == {1, 2}
@@ -1014,7 +991,7 @@ def test_bigram_lm_ppl_empty_and_framed_key(ray_session, tmp_path):
         (2, "a bc a bc", "s"),   # pair (a, bc) — same concatenation
     ])
     got = QUERIES["docs_bigram_lm_ppl"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_bigram_lm_ppl")
+    want = oracle_frame(tmp_path, "docs_bigram_lm_ppl")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     # if the key collided, the two docs would share pooled counts and
@@ -1063,7 +1040,7 @@ def test_line_dedup_hand_fixture(ray_session, tmp_path):
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), want, check_dtype=False)
     # and the SQL oracle agrees on the same corpus
-    w = _oracle_on(tmp_path, "docs_line_dedup")
+    w = oracle_frame(tmp_path, "docs_line_dedup")
     pd.testing.assert_frame_equal(
         got[sorted(got.columns)].reset_index(drop=True),
         w.sort_values("doc_id").reset_index(drop=True)[sorted(w.columns)],
@@ -1078,7 +1055,7 @@ def test_cms_topk_empty_events(ray_session, tmp_path):
     assert list(got.columns) == ["user_id", "exact_n", "est_n",
                                  "overcount_ok"]
     assert len(got) == 0
-    assert len(_oracle_on(tmp_path, "events_user_cms_topk")) == 0
+    assert len(oracle_frame(tmp_path, "events_user_cms_topk")) == 0
 
 
 def test_line_dedup_salted_path_equals_broadcast(ray_session, tmp_path,
@@ -1096,7 +1073,7 @@ def test_line_dedup_salted_path_equals_broadcast(ray_session, tmp_path,
     monkeypatch.setattr(rel, "_BROADCAST_JOIN_BYTES", 0)
     salted = QUERIES["docs_line_dedup"](str(tmp_path))
     pd.testing.assert_frame_equal(base, salted)
-    w = _oracle_on(tmp_path, "docs_line_dedup")
+    w = oracle_frame(tmp_path, "docs_line_dedup")
     pd.testing.assert_frame_equal(
         salted[sorted(salted.columns)].reset_index(drop=True),
         w.sort_values("doc_id").reset_index(drop=True)[
@@ -1129,7 +1106,7 @@ def test_quality_percentile_power_of_two_and_ties(ray_session, tmp_path):
     rows += [(200, "", "de")]
     _write_docs_langs(tmp_path, rows)
     got = QUERIES["docs_quality_percentile"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_quality_percentile")
+    want = oracle_frame(tmp_path, "docs_quality_percentile")
     pd.testing.assert_frame_equal(
         got[sorted(got.columns)].reset_index(drop=True),
         want.sort_values("doc_id").reset_index(drop=True)[
@@ -1285,7 +1262,7 @@ def test_inverted_index_capping_min_df_and_oracle(ray_session,
         rows.append((300 + i, f"rare rsalt{i}", "s"))
     _write_docs(tmp_path, rows)
     got = QUERIES["docs_inverted_index"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_inverted_index")
+    want = oracle_frame(tmp_path, "docs_inverted_index")
     pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
                                   canon(want).reset_index(drop=True),
                                   check_dtype=False)
@@ -1345,7 +1322,7 @@ def test_blocklist_boundary_case_and_oracle(ray_session, tmp_path):
             (9, "GrObNik speaking arrives via injection too", "b")]
     _write_docs(tmp_path, rows)
     got = QUERIES["docs_blocklist_filter"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_blocklist_filter")
+    want = oracle_frame(tmp_path, "docs_blocklist_filter")
     pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
                                   canon(want).reset_index(drop=True),
                                   check_dtype=False)
@@ -1415,13 +1392,6 @@ def _write_tpch_min(path, lineitem_rows, orders_rows, part_rows):
         str(path / "part.parquet"))
 
 
-def _tpch_oracle_on(tmp, name):
-    c = duckdb.connect()
-    for t in ("lineitem", "orders", "part"):
-        c.sql(f"CREATE VIEW {t} AS SELECT * FROM '{tmp / t}.parquet'")
-    return c.sql(ORACLES[name]).df()
-
-
 def test_q4_exists_semantics_and_q14_zero_guard(ray_session, tmp_path):
     """q4: an in-window order with only non-R lineitems must NOT
     count, one with R lines counts ONCE (EXISTS, not join fanout),
@@ -1439,7 +1409,7 @@ def test_q4_exists_semantics_and_q14_zero_guard(ray_session, tmp_path):
     part = [(10, "PROMO")]
     _write_tpch_min(tmp_path, li, orders, part)
     got = QUERIES["q4_priority_semi_join"](str(tmp_path))
-    want = _tpch_oracle_on(tmp_path, "q4_priority_semi_join")
+    want = oracle_frame(tmp_path, "q4_priority_semi_join")
     pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
                                   canon(want).reset_index(drop=True),
                                   check_dtype=False)
@@ -1447,7 +1417,7 @@ def test_q4_exists_semantics_and_q14_zero_guard(ray_session, tmp_path):
     assert list(got["order_count"]) == [1]
 
     got14 = QUERIES["q14_promo_share"](str(tmp_path))
-    want14 = _tpch_oracle_on(tmp_path, "q14_promo_share")
+    want14 = oracle_frame(tmp_path, "q14_promo_share")
     pd.testing.assert_frame_equal(canon(got14).reset_index(drop=True),
                                   canon(want14).reset_index(drop=True),
                                   check_dtype=False)
@@ -1467,7 +1437,7 @@ def test_q12_preagg_split_matches_oracle(ray_session, tmp_path):
               (3, "1997-01-01", "3-MEDIUM", "F")]
     _write_tpch_min(tmp_path, li, orders, [(10, "PROMO")])
     got = QUERIES["q12_status_line_priority"](str(tmp_path))
-    want = _tpch_oracle_on(tmp_path, "q12_status_line_priority")
+    want = oracle_frame(tmp_path, "q12_status_line_priority")
     pd.testing.assert_frame_equal(canon(got).reset_index(drop=True),
                                   canon(want).reset_index(drop=True),
                                   check_dtype=False)
@@ -1562,7 +1532,7 @@ def test_inverted_index_all_pruned_and_tpch_empty_windows(
     _write_docs(tmp_path, [(i, f"only{i} tok{i % 2}", "s")
                            for i in range(4)])
     got = QUERIES["docs_inverted_index"](str(tmp_path))
-    want = _oracle_on(tmp_path, "docs_inverted_index")
+    want = oracle_frame(tmp_path, "docs_inverted_index")
     assert len(got) == 0 and len(want) == 0
     assert list(got.columns) == ["token", "df", "postings"]
 
@@ -1589,7 +1559,7 @@ def test_q14_dangling_partkey_matches_oracle(ray_session, tmp_path):
     _write_tpch_min(tmp_path, li, orders,
                     [(10, "PROMO"), (11, "STANDARD")])
     got = QUERIES["q14_promo_share"](str(tmp_path))
-    want = _tpch_oracle_on(tmp_path, "q14_promo_share")
+    want = oracle_frame(tmp_path, "q14_promo_share")
     pd.testing.assert_frame_equal(canon(got), canon(want),
                                   check_dtype=False)
     row = got.iloc[0]

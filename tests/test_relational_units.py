@@ -474,6 +474,32 @@ def test_hash_join_right_outer_match_duckdb(ray_session):
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+def test_broadcast_join_null_keys_match_duckdb(ray_session):
+    """broadcast_join vs DuckDB on frames with NULL keys on both
+    sides: a NULL (or NaN) key never matches, not even another NULL
+    (a plain pandas merge pairs NaN with NaN); under how='left' the
+    probe side's NULL-key rows stay, unmatched."""
+    import duckdb
+    import ray.data as rd
+    from pdf_parser_ray.relational import broadcast_join
+    left = pd.DataFrame({"k": [1.0, np.nan, 2.0, np.nan, 3.0, 1.0],
+                         "lv": np.arange(6)})
+    right = pd.DataFrame({"k": [1.0, np.nan, 3.0, np.nan],
+                          "rv": np.arange(4) * 10})
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    for how, sql_kind in (("inner", "INNER"), ("left", "LEFT")):
+        got = broadcast_join(rd.from_pandas(left).repartition(3), right,
+                             on="k", how=how).to_pandas()
+        want = con.sql(f"SELECT l.k, lv, rv FROM l {sql_kind} JOIN r "
+                       f"ON l.k = r.k").df()
+        key = ["k", "lv", "rv"]
+        got = got[key].sort_values(key).reset_index(drop=True)
+        want = want[key].sort_values(key).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_quantile_exact_matches_numpy(ray_session):
     """quantile_exact == np.quantile(method='linear') bit-for-bit on a
     skewed multimodal column with NaNs, across edge and interior qs."""

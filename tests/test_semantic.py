@@ -202,9 +202,8 @@ def test_gopher_rules_unicode_parity(ray_session, tmp_path):
     non-ASCII letters, unicode ellipsis/bullet. ASCII-explicit
     classes + token-equality stop words keep the two engines
     bit-equal."""
-    import duckdb
-
-    from pdf_parser_ray.queries import ORACLES, QUERIES
+    from pdf_parser_ray.queries import QUERIES
+    from tests.oracle_compare import oracle_frame
     texts = ["word joined the and of that be",
              "col1\x0bcol2 the be to of",
              "voilàthe café the and of be",
@@ -217,10 +216,7 @@ def test_gopher_rules_unicode_parity(ray_session, tmp_path):
     pd.DataFrame({"doc_id": range(len(texts)), "text": texts}
                  ).to_parquet(out / "documents.parquet")
     got = QUERIES["docs_gopher_rules"](str(out))
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW documents AS SELECT * FROM "
-            f"'{out}/documents.parquet'")
-    want = con.sql(ORACLES["docs_gopher_rules"]).df()
+    want = oracle_frame(out, "docs_gopher_rules")
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True),
         want.astype(got.dtypes.to_dict()).reset_index(drop=True))
@@ -258,9 +254,8 @@ def test_c4_filters_hand_computed():
 def test_c4_fixture_parity_on_constructed_corpus(ray_session, tmp_path):
     """Engine vs oracle through the full injected path on ids hitting
     every fixture slice (7/11/13/17 multiples and none)."""
-    import duckdb
-
-    from pdf_parser_ray.queries import ORACLES, QUERIES
+    from pdf_parser_ray.queries import QUERIES
+    from tests.oracle_compare import oracle_frame
     out = tmp_path / "docs"
     out.mkdir()
     base = " ".join(f"w{i}" for i in range(40))
@@ -268,10 +263,7 @@ def test_c4_fixture_parity_on_constructed_corpus(ray_session, tmp_path):
     pd.DataFrame({"doc_id": ids, "text": [base] * len(ids)}
                  ).to_parquet(out / "documents.parquet")
     got = QUERIES["docs_c4_filters"](str(out))
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW documents AS SELECT * FROM "
-            f"'{out}/documents.parquet'")
-    want = (con.sql(ORACLES["docs_c4_filters"]).df()
+    want = (oracle_frame(out, "docs_c4_filters")
             .astype(got.dtypes.to_dict()))
     pd.testing.assert_frame_equal(got.reset_index(drop=True),
                                   want.reset_index(drop=True))
@@ -440,9 +432,8 @@ def test_gopher_repetition_oracle_parity_on_edge_corpus(
     """Engine vs DuckDB on the divergence-prone inputs: unicode
     whitespace inside tokens, empty docs, docs shorter than n, the
     injected-id slices, multi-line docs."""
-    import duckdb
-
-    from pdf_parser_ray.queries import ORACLES, QUERIES
+    from pdf_parser_ray.queries import QUERIES
+    from tests.oracle_compare import oracle_frame
     texts = ["", "one", "a b c d e f g h i j k l m n o p",
              "nbsp\xa0joined token run " * 6,
              "line a\nline a\nline b\n\nline a",
@@ -453,10 +444,7 @@ def test_gopher_repetition_oracle_parity_on_edge_corpus(
     pd.DataFrame({"doc_id": [0, 9, 23, 207, 5, 7],
                   "text": texts}).to_parquet(out / "documents.parquet")
     got = QUERIES["docs_gopher_repetition"](str(out))
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW documents AS SELECT * FROM "
-            f"'{out}/documents.parquet'")
-    want = con.sql(ORACLES["docs_gopher_repetition"]).df()
+    want = oracle_frame(out, "docs_gopher_repetition")
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True),
         want[got.columns.tolist()].astype(got.dtypes.to_dict())
