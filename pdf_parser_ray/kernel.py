@@ -43,20 +43,28 @@ read-only reference at /root/reference):
                 (left then right joined with blank line; header first,
                 footer last)
 
-Everything here is scalar Python on purpose: these are inherently
-per-row string parses (like the reference's per-page parse). The Ray
-pipeline amortizes them across Arrow batches in map_batches; the
-*numeric* relational operators elsewhere in the engine are vectorized.
+This is the per-turn path, scalar Python: one turn in, one record out.
+The extraction stage (stages/extract.py) runs most layout turns
+(a002/a003/a004) as whole Arrow batches instead and calls
+``extract_turn`` only for the rest: html, a000, plain text, null text,
+``#CORRUPT`` and layout turns with a line its number check cannot
+decide. The batch path reuses this module's constants, ``round2`` and
+the footer text predicates, and must produce the same records; the
+per-turn path stays the reference the batch path is tested against.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 DEFAULT_PAGE_WIDTH = 612.0
 DEFAULT_PAGE_HEIGHT = 792.0
+#: tools whose payload is layout-serialized (family (a) above)
+LAYOUT_TOOLS = ("pdf_layout", "colored", "vision", "layoutlm")
 
 # A003_colored_footer.py:204-205
 FOOTER_INDICATORS_A003 = (
@@ -104,12 +112,23 @@ class CorruptPayload(Exception):
 # Payload parsing (the analog of page.get_text("dict") / get_drawings())
 # ---------------------------------------------------------------------------
 
+#: a directive number (FIXTURES.md §1): optional sign, digits, optional
+#: fraction. A directive whose arguments do not fit is ignored like an
+#: unknown one; ``float()`` alone would also take "inf", "1e2", "1_0"
+#: or " 5".
+NUM = r"[-+]?\d+(?:\.\d+)?"
+_PAGE_ARGS = re.compile(rf"({NUM}),({NUM})")
+_VLINE_ARGS = re.compile(rf"({NUM}),({NUM}),({NUM}),({NUM})")
+_RECT_ARGS = re.compile(
+    rf"({NUM}),({NUM}),({NUM}),({NUM})\|({NUM}),({NUM}),({NUM})")
+
 def parse_layout_payload(text: str) -> ParsedPage:
     """Parse a layout-serialized turn payload into page geometry.
 
     Mirrors the reference tokenizer A002_header_footer_2_col.py:64-108:
     per-line records, span text stripped, empty lines dropped, malformed
-    records skipped via length guards (A002:40,87).
+    records skipped via length guards (A002:40,87), directives whose
+    arguments are not ``NUM`` ignored.
     """
     width, height = DEFAULT_PAGE_WIDTH, DEFAULT_PAGE_HEIGHT
     blocks: List[TextBlock] = []
@@ -126,30 +145,18 @@ def parse_layout_payload(text: str) -> ParsedPage:
             if line.startswith("#CORRUPT"):
                 raise CorruptPayload("corrupt page payload")
             if line.startswith("#PAGE "):
-                try:
-                    w_s, h_s = line[6:].split(",")
-                    width, height = float(w_s), float(h_s)
-                except (ValueError, IndexError):
-                    pass  # malformed directive -> keep defaults
+                m = _PAGE_ARGS.fullmatch(line, 6)
+                if m:
+                    width, height = float(m[1]), float(m[2])
             elif line.startswith("#VLINE "):
-                parts = line[7:].split(",")
-                if len(parts) == 4:  # length guard (A002:40)
-                    try:
-                        vlines.append(tuple(float(p) for p in parts))
-                    except ValueError:
-                        pass
+                m = _VLINE_ARGS.fullmatch(line, 7)
+                if m:
+                    vlines.append(tuple(map(float, m.groups())))
             elif line.startswith("#RECT "):
-                body = line[6:].split("|")
-                if len(body) == 2:
-                    coords = body[0].split(",")
-                    rgb = body[1].split(",")
-                    if len(coords) == 4 and len(rgb) == 3:
-                        try:
-                            bbox = tuple(float(c) for c in coords)
-                            fill = tuple(float(c) for c in rgb)
-                            rects.append((bbox, fill))
-                        except ValueError:
-                            pass
+                m = _RECT_ARGS.fullmatch(line, 6)
+                if m:
+                    nums = tuple(map(float, m.groups()))
+                    rects.append((nums[:4], nums[4:]))
             # unknown directives ignored
             continue
 
@@ -216,7 +223,9 @@ def find_column_separator(
        center -> its x midpoint.
     2. No blocks -> W/2.
     3. Scan separator_x in range(int(0.3W), int(0.7W), 10); first x with
-       >=1 block fully left (x1 < sep) and >=1 fully right (x0 > sep).
+       >=1 block fully left (x1 < sep) and >=1 fully right (x0 > sep),
+       each side tested on its own (a block with x0 > x1 may count as
+       both).
     4. Default W/2.
     """
     vertical = detect_vertical_lines(vlines)
@@ -237,22 +246,22 @@ def find_column_separator(
     if not blocks:
         return page_width / 2
 
-    for separator_x in range(int(page_width * 0.3), int(page_width * 0.7), 10):
-        # single pass with early exit — equivalent to the two counts'
-        # >0 checks (existence on each side), not a behavior change
-        has_left = has_right = False
-        for b in blocks:
-            if not has_left and b.x1 < separator_x:
-                has_left = True
-                if has_right:
-                    break
-            elif not has_right and b.x0 > separator_x:
-                has_right = True
-                if has_left:
-                    break
-        if has_left and has_right:
-            return float(separator_x)
-
+    # Closed form of the scan: a block lies fully left of x iff its x1 <
+    # x, so the first grid x with a block on each side is the first grid
+    # point above the smallest x1, if it is also below the largest x0.
+    # (NaN coordinates are on neither side, as in the scan.)
+    lo, hi = int(page_width * 0.3), int(page_width * 0.7)
+    left_edge = min((b.x1 for b in blocks if b.x1 == b.x1), default=math.inf)
+    right_edge = max((b.x0 for b in blocks if b.x0 == b.x0),
+                     default=-math.inf)
+    if left_edge < lo:
+        separator_x = lo
+    elif left_edge < math.inf:
+        separator_x = lo + ((math.floor(left_edge) - lo) // 10 + 1) * 10
+    else:
+        return page_width / 2
+    if separator_x < hi and separator_x < right_edge:
+        return float(separator_x)
     return page_width / 2
 
 
@@ -308,13 +317,8 @@ def classify_a003(page: ParsedPage, separator_x: float) -> Dict[str, List[TextBl
     footer_threshold = page.height * 0.95
     potential = [b for b in page.blocks
                  if (b.y0 + b.y1) / 2 > footer_threshold]
-    has_footer = False
-    if potential:
-        footer_text = " ".join(b.text for b in potential).lower()
-        if any(ind in footer_text for ind in FOOTER_INDICATORS_A003):
-            has_footer = True
-        elif len(footer_text.strip()) < 50 and any(c.isdigit() for c in footer_text):
-            has_footer = True
+    has_footer = bool(potential) and is_footer_text_a003(
+        [b.text for b in potential])
 
     regions: Dict[str, List[TextBlock]] = {
         "header": [], "footer": [], "left_column": [], "right_column": []}
@@ -338,19 +342,33 @@ def classify_a003(page: ParsedPage, separator_x: float) -> Dict[str, List[TextBl
     return regions
 
 
+def is_footer_text_a003(texts: List[str]) -> bool:
+    """A003_colored_footer.py:200-215: the bottom-zone block texts, in
+    page order, joined and lowered, hold a footer keyword or are short
+    and hold a digit (both tests on the lowered text)."""
+    footer_text = " ".join(texts).lower()
+    if any(ind in footer_text for ind in FOOTER_INDICATORS_A003):
+        return True
+    return len(footer_text.strip()) < 50 and any(
+        c.isdigit() for c in footer_text)
+
+
+def is_footer_text_a004(text: str) -> bool:
+    """A004_Vision_2025.py:160-170: one bottom-zone block's text holds a
+    footer keyword (lowered) or is short and holds a digit."""
+    text_lower = text.lower()
+    if any(ind in text_lower for ind in FOOTER_INDICATORS_A004):
+        return True
+    return len(text.strip()) < 50 and any(c.isdigit() for c in text)
+
+
 def _is_footer_a004(b: TextBlock, page_height: float) -> bool:
     """A004_Vision_2025.py:152-171 (called after the header branch, so
     only the bottom-zone tests matter here)."""
     y_center = (b.y0 + b.y1) / 2
     if y_center < page_height * 0.10:
         return True
-    if y_center > page_height * 0.95:
-        text_lower = b.text.lower()
-        if any(ind in text_lower for ind in FOOTER_INDICATORS_A004):
-            return True
-        if len(b.text.strip()) < 50 and any(c.isdigit() for c in b.text):
-            return True
-    return False
+    return y_center > page_height * 0.95 and is_footer_text_a004(b.text)
 
 
 def classify_a004(page: ParsedPage, separator_x: float) -> Dict[str, List[TextBlock]]:
@@ -581,7 +599,7 @@ def normalize_text_field(t: str) -> str:
     return "\n".join(line.strip() for line in t.split("\n")).strip()
 
 
-def _round2(v: Optional[float]) -> Optional[float]:
+def round2(v: Optional[float]) -> Optional[float]:
     # reference uses truthiness, not `is not None` (protocol:174-179)
     return round(v, 2) if v else v
 
@@ -672,9 +690,9 @@ def _record(turn_idx: int, width: float, height: float,
         "footer": footer,
         "left_column": left,
         "right_column": right,
-        "page_width": _round2(width),
-        "page_height": _round2(height),
-        "column_separator_position": _round2(separator_x),
+        "page_width": round2(width),
+        "page_height": round2(height),
+        "column_separator_position": round2(separator_x),
         "extracted_text": assemble_extracted_text(header, left, right,
                                                   footer),
         "metadata_json": canonical_metadata_json(metadata),
@@ -700,7 +718,7 @@ def extract_turn(text: str, tool: str, turn_idx: int,
         if tool == "html":
             from .html_parse import parse_html_payload
             page = parse_html_payload(text)
-        elif tool in ("pdf_layout", "colored", "vision", "layoutlm"):
+        elif tool in LAYOUT_TOOLS:
             page = parse_layout_payload(text)
         else:
             page = plain_text_page(text)

@@ -6,9 +6,9 @@ The analog of the reference's extractor registry
 protocol check (pdf_extractor_protocol.py:118-155: validate_extractor).
 
 Routing key is the transcript ``tool`` column (the analog of the PDF
-filename). The registry dict is a SMALL broadcast side: it is captured
-in each extraction actor's __init__ (stages/extract.py), never shipped
-per batch and never shuffled.
+filename). The registry dict is a SMALL broadcast side: module-level,
+read by each extraction task (stages/extract.py), never shipped per
+batch and never shuffled.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from . import kernel
 #: Mirrors EXTRACTOR_MAP's filename->class routing with a default
 #: (tests/extractor_config.py:33-45: DEFAULT_EXTRACTOR fallback).
 DEFAULT_STRATEGY = "a002"
+#: the engine's own strategies (kernel.CLASSIFIERS at import)
+BUILTIN_STRATEGIES = frozenset(kernel.CLASSIFIERS)
 TOOL_STRATEGY_MAP: Dict[str, str] = {
     "pdf_layout": "a002",
     "colored": "a003",
@@ -45,9 +47,16 @@ def register_strategy(tool: str, strategy: str,
 
     ``classifier``, when given, installs a new classify function under
     ``strategy`` after a structural validation
-    (pdf_extractor_protocol.py:118-155 analog).
+    (pdf_extractor_protocol.py:118-155 analog). The built-in names
+    (``BUILTIN_STRATEGIES``) are refused for a custom classifier: the
+    extraction stage runs them by name on its whole-batch layout path,
+    so a replacement under one of them would never be called there.
     """
     if classifier is not None:
+        if strategy in BUILTIN_STRATEGIES:
+            raise ValueError(
+                f"strategy {strategy!r} is built in; register a custom "
+                f"classifier under a new strategy name")
         validate_classifier(classifier)
         kernel.CLASSIFIERS[strategy] = classifier
     if strategy not in kernel.CLASSIFIERS:

@@ -2,12 +2,18 @@
 branch of SURVEY.md §2.2 M1-M14 exercised with hand-built payloads."""
 
 import json
+import sys
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
 
 from pdf_parser_ray import kernel
 from pdf_parser_ray.kernel import (
     TextBlock, blocks_to_text, extract_turn, find_column_separator,
     parse_layout_payload,
 )
+from tests.reference_oracle import oracle_extract_turn
 
 W, H = 612.0, 792.0
 
@@ -37,6 +43,34 @@ def test_parse_layout_payload_basic():
 def test_parse_keeps_pipes_in_text():
     page = parse_layout_payload("10,10,20,20|9.0|F|a | b | c")
     assert page.blocks[0].text == "a | b | c"
+
+
+@pytest.mark.parametrize("directive", [
+    "#PAGE inf,1e2", "#PAGE nan,792", "#PAGE 1_0,792", "#PAGE .5,792",
+    "#PAGE 612, 792", "#PAGE  612,792", "#PAGE 612,792,1",
+    "#VLINE 306,140,306,7e2", "#VLINE inf,0,inf,700",
+    "#RECT 40,720,570,780|0.9,0.9,-inf", "#RECT 40,720,570,7.8e2|1,1,1",
+])
+def test_directive_outside_number_grammar_is_ignored(directive):
+    """A #PAGE/#VLINE/#RECT whose numbers are not ``kernel.NUM`` is
+    ignored like an unknown directive, as in the reference oracle;
+    ``float()`` alone took "inf" and made the turn an error record."""
+    payload = ("#PAGE 500,700\n" + directive +
+               "\n40,150,180,162|11|T|left\n330,150,470,162|11|T|right")
+    for tool in ("pdf_layout", "colored", "vision"):
+        rec = extract_turn(payload, tool, 0)
+        assert rec == oracle_extract_turn(payload, tool, 0)
+        assert "error" not in rec["metadata_json"]
+        assert rec["page_width"] == 500.0
+
+
+def test_directive_grammar_takes_signs_and_unicode_digits():
+    # the oracle's \d is Unicode, like the kernel's
+    payload = "#PAGE +６１２,0792.50\n40,150,180,162|11|T|x"
+    page = parse_layout_payload(payload)
+    assert (page.width, page.height) == (612.0, 792.5)
+    assert extract_turn(payload, "pdf_layout", 0) == \
+        oracle_extract_turn(payload, "pdf_layout", 0)
 
 
 def test_parse_empty_text_blocks_dropped():
@@ -74,6 +108,37 @@ def test_separator_scan_finds_first_split():
     # range(183, 428, 10): first x with L fully left (280 < x) and R fully
     # right (330 > x) is 283
     assert find_column_separator(W, blocks, []) == 283.0
+
+
+def test_separator_counts_inverted_block_on_both_sides():
+    """A block with x0 > x1 is left of x (x1 < x) and right of x (x0 > x)
+    at once; the reference tests the two sides independently."""
+    payload = ("#PAGE 612.0,792.0\n"
+               "400.0,300.0,100.0,320.0|11.0|Times|inverted")
+    rec = extract_turn(payload, "pdf_layout", 0)
+    assert rec["column_separator_position"] == 183.0
+    assert rec == oracle_extract_turn(payload, "pdf_layout", 0)
+    assert find_column_separator(W, [blk("i", 400, 300, 100, 320)], []) \
+        == 183.0
+
+
+def test_separator_grid_edges():
+    # first grid point strictly above the smallest x1 (x1 = 283 -> 293),
+    # and strictly below the largest x0 (x0 = 293 -> none -> W/2)
+    assert find_column_separator(
+        W, [blk("L", 0, 0, 283, 1), blk("R", 294, 0, 400, 1)], []) == 293.0
+    assert find_column_separator(
+        W, [blk("L", 0, 0, 283, 1), blk("R", 293, 0, 400, 1)], []) == W / 2
+    # the grid ends at 423 (range(183, 428, 10))
+    assert find_column_separator(
+        W, [blk("L", 0, 0, 422, 1), blk("R", 500, 0, 600, 1)], []) == 423.0
+    assert find_column_separator(
+        W, [blk("L", 0, 0, 423, 1), blk("R", 500, 0, 600, 1)], []) == W / 2
+    # NaN coordinates are on neither side
+    nan = float("nan")
+    assert find_column_separator(
+        W, [blk("n", nan, 0, nan, 1), blk("L", 0, 0, 100, 1),
+            blk("R", 300, 0, 400, 1)], []) == 183.0
 
 
 def test_separator_default_half_width():
@@ -298,3 +363,56 @@ def test_chunk_audio_rejects_gapping_stride():
     with pytest.raises(ValueError, match="stride"):
         ChunkAudio(window=32, stride=48)
     ChunkAudio(window=32, stride=32)  # contiguous, zero overlap: fine
+
+
+# ------------------------------- Arrow string rules the batch path uses
+
+_CODE_POINTS = [chr(c) for c in range(sys.maxunicode + 1)
+                if not 0xD800 <= c <= 0xDFFF]
+
+
+def test_arrow_trim_whitespace_equals_str_strip():
+    """The batch path trims lines and block texts with
+    ``utf8_trim_whitespace``; the per-turn path uses ``str.strip``."""
+    wrapped = [f"{c}{c}x{c}" for c in _CODE_POINTS]
+    got = pc.utf8_trim_whitespace(pa.array(wrapped)).to_pylist()
+    assert [i for i, (g, w) in enumerate(zip(got, wrapped))
+            if g != w.strip()] == []
+
+
+def test_arrow_lower_and_is_digit_differ_from_str():
+    """Why the footer keyword tests stay in Python: ``utf8_lower`` and
+    ``utf8_is_digit`` are not ``str.lower`` / ``str.isdigit``. An Arrow
+    upgrade that changes either fact fails here."""
+    arr = pa.array(_CODE_POINTS)
+    lower = pc.utf8_lower(arr).to_pylist()
+    assert [hex(ord(c)) for c, g in zip(_CODE_POINTS, lower)
+            if g != c.lower()] == ["0x130"]
+    digit = pc.utf8_is_digit(arr).to_pylist()
+    assert sum(g != c.isdigit() for c, g in zip(_CODE_POINTS, digit)) == 128
+
+
+# ------------------------------------------------------ strategy registry
+
+def test_register_strategy_refuses_builtin_name_for_custom_classifier():
+    from pdf_parser_ray import strategies
+
+    def mine(page, separator_x):
+        return kernel.classify_a002(page, separator_x)
+
+    for name in ("a000", "a002", "a003", "a004"):
+        with pytest.raises(ValueError, match="built in"):
+            strategies.register_strategy("custom_tool", name, mine)
+    assert kernel.CLASSIFIERS["a002"] is kernel.classify_a002
+    assert "custom_tool" not in strategies.TOOL_STRATEGY_MAP
+    try:
+        strategies.register_strategy("custom_tool", "mine", mine)
+        assert kernel.CLASSIFIERS["mine"] is mine
+        rec = extract_turn("40,150,180,162|11|T|x", "pdf_layout", 0, "mine")
+        assert rec == extract_turn("40,150,180,162|11|T|x", "pdf_layout", 0,
+                                   "a002")
+        strategies.register_strategy("other_tool", "a003")   # no classifier
+    finally:
+        kernel.CLASSIFIERS.pop("mine", None)
+        strategies.TOOL_STRATEGY_MAP.pop("custom_tool", None)
+        strategies.TOOL_STRATEGY_MAP.pop("other_tool", None)

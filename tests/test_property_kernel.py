@@ -2,9 +2,11 @@
 must match the independent reference-shaped oracle byte-for-byte."""
 
 import hypothesis.strategies as st
+import pyarrow as pa
 from hypothesis import HealthCheck, given, settings
 
 from pdf_parser_ray.kernel import extract_turn
+from pdf_parser_ray.stages import extract
 from tests.reference_oracle import oracle_extract_turn
 
 _SETTINGS = dict(max_examples=150, deadline=None,
@@ -71,6 +73,165 @@ def test_html_path_never_raises_and_matches(text):
     want = oracle_extract_turn(payload, "html", 3)
     assert got == want
     assert got["page_number"] == 4
+
+
+# ---------------------------------------- whole batches vs the oracle
+
+#: numbers outside the batch path's check: float() takes some of them
+odd_number = st.sampled_from([
+    "1e2", "inf", "-inf", "nan", " 5", "5 ", "1_0", ".5", "5.", "+3", "-0",
+    "\uff15", "\u0665", "0x10", "", "a"])
+num = st.one_of(coord.map(str), coord.map(str), coord.map(str), odd_number)
+#: more than 15 digits before the point (kept out of #PAGE: the oracle
+#: scans range(int(0.3W), int(0.7W), 10) one step at a time)
+record_number = st.one_of(odd_number, st.just("1" * 17))
+
+
+@st.composite
+def any_block_line(draw):
+    """Records the fixtures never make: inverted boxes, midpoints exactly
+    10 apart, repeated (y0, x0), odd numbers and fonts."""
+    x0 = draw(st.sampled_from([40.0, 40.0, 300.0]) | coord)
+    x1 = draw(st.sampled_from([280.0, 570.0, 20.0]) | coord)
+    y0 = draw(st.sampled_from([100.0, 105.0, 110.0, 115.0, 120.0]) | coord)
+    h = draw(st.sampled_from([10.0, 12.0, 20.0]))
+    xs = [str(x0), str(y0), str(x1), str(y0 + h)]
+    if draw(st.integers(0, 9)) == 0:
+        xs[draw(st.integers(0, 3))] = draw(record_number)
+    size = draw(st.sampled_from(["11.0", "8", "-1"]) | odd_number)
+    font = draw(st.sampled_from(["Times", "F|weird", ""]))
+    return f"{','.join(xs)}|{size}|{font}|{draw(word)}"
+
+
+@st.composite
+def any_directive(draw):
+    kind = draw(st.sampled_from(["page", "vline", "rect", "other"]))
+    if kind == "page":
+        return f"#PAGE {draw(num)},{draw(num)}"
+    if kind == "vline":
+        x = draw(num)
+        return f"#VLINE {x},{draw(num)},{x},{draw(num)}"
+    if kind == "rect":
+        r = draw(st.sampled_from(["1.0,1.0,1.0", "1,1,1", "0.9,0.8,0.2"]))
+        return (f"#RECT {draw(num)},{draw(num)},{draw(num)},"
+                f"{draw(num)}|{r}")
+    return draw(st.sampled_from([
+        "#CORRUPT", "#UNKNOWN x", "#PAGE", "no pipes", "1,2|short",
+        "a,b,c,d|x|F|bad", "\x1c", "\x85 ", "\u3000"]))
+
+
+layout_payloads = st.lists(
+    st.one_of(any_block_line(), any_block_line(), any_directive(), word),
+    min_size=0, max_size=20).map("\n".join)
+batch_tools = st.sampled_from(["pdf_layout", "colored", "vision",
+                               "layoutlm", "html", "", "unknown_tool", None])
+# (the a000 oracle has no null-text guard, so its error message differs)
+turns = st.tuples(st.one_of(layout_payloads, st.none(), st.text(max_size=40)),
+                  batch_tools).filter(lambda r: r != (None, "layoutlm"))
+
+#: a turn the batch path always takes
+_CLEAN = ("#PAGE 612,792\n40,150,280,162|11|Times|left\n"
+          "330,150,570,162|11|Times|right", "pdf_layout")
+
+
+def extract_counting(table, registry=None):
+    """extract_batch, and how many turns it sent to the per-turn path."""
+    calls = []
+    per_turn = extract.extract_turn
+
+    def counted(*args):
+        calls.append(args)
+        return per_turn(*args)
+
+    extract.extract_turn = counted
+    try:
+        return extract.extract_batch(table, registry), len(calls)
+    finally:
+        extract.extract_turn = per_turn
+
+
+def transcript(rows):
+    return pa.table({
+        "conv_id": pa.array([f"c{i % 3}" for i in range(len(rows))],
+                            pa.string()),
+        "turn_idx": pa.array(range(len(rows)), pa.int64()),
+        "text": pa.array([t for t, _ in rows], pa.string()),
+        "tool": pa.array([tool for _, tool in rows], pa.string())})
+
+
+@settings(**_SETTINGS)
+@given(rows=st.lists(turns, max_size=12))
+def test_extract_batch_equals_oracle_on_mixed_batches(rows):
+    rows = rows + [_CLEAN]
+    out, per_turn = extract_counting(transcript(rows))
+    assert per_turn < len(rows)          # the batch path ran
+    for (text, tool), got in zip(rows, out.to_pylist()):
+        want = oracle_extract_turn(text, tool or "", got["turn_idx"])
+        assert {k: got[k] for k in want} == want, (text, tool)
+
+
+def test_extract_batch_empty_and_no_layout_batches():
+    out, per_turn = extract_counting(transcript([]))
+    assert out.num_rows == 0 and per_turn == 0
+    assert out.schema == extract.EXTRACTED_SCHEMA
+    rows = [("<html><body><main>x</main></body></html>", "html"),
+            ("plain", ""), (None, "pdf_layout"), ("#CORRUPT", "vision"),
+            ("40,150,280,162|11|T|x", "layoutlm")]
+    out, per_turn = extract_counting(transcript(rows))
+    assert per_turn == len(rows)
+    for (text, tool), got in zip(rows, out.to_pylist()):
+        assert {k: got[k] for k in extract.OUTPUT_FIELDS} == \
+            oracle_extract_turn(text, tool, got["turn_idx"])
+
+
+def test_records_float_must_reject_stay_on_the_batch_path():
+    """A record whose numbers hold a character float() never takes is
+    skipped on the batch path; one float() may take goes per turn."""
+    rows = [(_CLEAN[0] + "\na,b,c,d|12|F|unparseable coords", "pdf_layout"),
+            (_CLEAN[0] + "\n1e2,150,9,162|12|F|float takes it", "colored")]
+    out, per_turn = extract_counting(transcript(rows))
+    assert per_turn == 1
+    for (text, tool), got in zip(rows, out.to_pylist()):
+        assert {k: got[k] for k in extract.OUTPUT_FIELDS} == \
+            oracle_extract_turn(text, tool, got["turn_idx"])
+    assert "float takes it" in out.column("left_column")[1].as_py()
+
+
+def test_forced_strategy_keeps_html_on_the_per_turn_path():
+    """compare_strategies forces a strategy onto every tool: html under
+    a003 still takes the per-turn path; pdf_layout under a003 takes the
+    batch path."""
+    html = ("<html><body><header>Top</header><main><div><p>a</p></div>"
+            "<div><p>b</p></div></main><footer>page 3</footer>"
+            "</body></html>")
+    rows = [(html, "html"), _CLEAN, ("plain words", "")]
+    forced = {tool: "a003" for _, tool in rows}
+    out, per_turn = extract_counting(transcript(rows), forced)
+    assert per_turn == 2
+    for (text, tool), got in zip(rows, out.to_pylist()):
+        assert {k: got[k] for k in extract.OUTPUT_FIELDS} == \
+            extract_turn(text, tool, got["turn_idx"], "a003")
+
+
+def test_compare_strategies_a003_on_html_matches_per_turn(ray_session):
+    import ray.data as rd
+    from pdf_parser_ray.pipelines.extraction import compare_strategies
+    html = ("<html><body><header>Top</header><main><div><p>a</p></div>"
+            "</main><footer>page 3</footer></body></html>")
+    t = transcript([(html, "html"), _CLEAN])
+    got = compare_strategies(rd.from_arrow(t), ["a003"])["a003"]
+    for row in got.to_pandas().to_dict("records"):
+        text = t.column("text")[row["turn_idx"]].as_py()
+        want = extract_turn(text, row["tool"], row["turn_idx"], "a003")
+        assert {k: row[k] for k in extract.OUTPUT_FIELDS} == want
+
+
+def test_page_number_overflow_fails_loudly():
+    import pytest
+    t = transcript([_CLEAN]).set_column(
+        1, "turn_idx", pa.array([2**31 - 1], pa.int64()))
+    with pytest.raises(pa.ArrowInvalid, match="overflow"):
+        extract.extract_batch(t)
 
 
 def test_dedup_keep_components(ray_session):
