@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from typing import List, Optional
 
@@ -65,15 +66,52 @@ def add_bucket_column(batch: pa.Table, *, key: str, n_buckets: int,
     return batch.append_column("bucket", col)
 
 
-def completed_buckets(out_dir: str) -> List[int]:
-    done = []
+def completed_buckets(out_dir: str, prefix: str = "bucket") -> List[int]:
+    """Ids of the committed ``<prefix>=NNNNN`` partitions under
+    ``out_dir`` (those holding ``_SUCCESS``). Only names of the form the
+    writers produce count, so a writer's leftover
+    ``<prefix>=NNNNN.tmp-<pid>`` directory is never taken for one."""
     if not os.path.isdir(out_dir):
-        return done
-    for name in os.listdir(out_dir):
-        if name.startswith("bucket=") and os.path.exists(
-                os.path.join(out_dir, name, "_SUCCESS")):
-            done.append(int(name.split("=")[1]))
-    return sorted(done)
+        return []
+    name_re = re.compile(re.escape(prefix) + r"=(\d{5,})")
+    return sorted(
+        int(m.group(1)) for m in map(name_re.fullmatch, os.listdir(out_dir))
+        if m and os.path.exists(os.path.join(out_dir, m.group(0),
+                                             "_SUCCESS")))
+
+
+def fsync_path(path: str) -> None:
+    """fsync one file or directory."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def fsync_tree(root: str) -> None:
+    """fsync every file and directory under ``root`` (and root
+    itself): data about to be made visible by a rename or a registry
+    entry must be durable BEFORE it is — otherwise a power loss can
+    leave a committed name whose files vanish from page cache."""
+    for dirpath, _dirnames, filenames in os.walk(root, topdown=False):
+        for name in filenames:
+            fsync_path(os.path.join(dirpath, name))
+        fsync_path(dirpath)
+
+
+def write_json_atomic(path: str, obj, **dump_kwargs) -> None:
+    """Durable atomic JSON write: the tmp file is fsynced before it
+    replaces ``path`` and the directory after, so a reader (or a run
+    after a power loss) sees either the old content or the whole new
+    one, never a truncated file."""
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, **dump_kwargs)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+    fsync_path(os.path.dirname(path) or ".")
 
 
 def _write_bucket(group: pd.DataFrame, out_dir: str) -> pd.DataFrame:

@@ -1,22 +1,32 @@
-"""Deterministic training-shard export — the terminal op of a data
-pipeline: N shard files a trainer can stream, with a manifest.
+"""Deterministic partitioned exports — the terminal op of a data
+pipeline: parquet partitions a trainer or a reader can stream, with a
+manifest. Four writers share one commit protocol (`_export`) and
+differ only in how a row picks its partition, how a partition is
+sorted and what its manifest records:
 
-Sharding is HASH-based, not random_shuffle: shard membership and
-within-shard order depend only on the key column, so the export is
-byte-for-byte reproducible under any input partitioning, task order or
-retry — a re-run (or a resumed run) cannot produce a differently-
-mixed dataset. Within-shard order is (key-hash, key): pseudo-random
-relative to any natural ordering of the data (the "global shuffle"
-a trainer wants) yet fully deterministic.
+* `write_training_shards` — HASH shards of a key column. Membership
+  and within-shard order depend only on the key, so the export is
+  byte-for-byte reproducible under any input partitioning, task order
+  or retry. Within-shard order is (key-hash, key): pseudo-random
+  relative to any natural ordering of the data (the "global shuffle"
+  a trainer wants) yet fully deterministic.
+* `write_sorted_export` — quantile RANGES of one column, globally
+  sorted, with per-range [vmin, vmax] for pruned reads.
+* `write_zorder_export` — ranges of a two-column Morton code, with
+  per-column [vmin, vmax].
+* `write_bucketed_export` — hash BUCKETS of a join key, for the
+  storage-partitioned join.
 
-Resumability mirrors state/checkpoint.py: one directory per shard,
-atomic rename commit (the `_SUCCESS` marker and `_meta.json` are
-written INSIDE the tmp directory, so the rename itself is the full
-commit — there is no window where a committed shard lacks its
-marker), manifest with per-shard row counts and content hashes; a
-re-run skips committed shards. Shard parquet is written in bounded
-row-group slices and the content hash is taken over the parquet bytes
-— no whole-shard text round-trip.
+Commit protocol: one directory per partition, committed by ONE
+directory rename. The part file, `_meta.json` and the `_SUCCESS`
+marker are written and fsynced INSIDE a per-writer tmp directory, so
+the rename itself is the full commit — there is no window where a
+committed partition lacks its marker. (state/checkpoint.py differs:
+it replaces the data file first and writes the marker after.) A
+layout file records how rows were partitioned; a re-run with the same
+layout skips committed partitions, any other is refused. Part parquet
+is written in bounded row-group slices and the content hash is taken
+over the parquet bytes — no whole-partition text round-trip.
 """
 
 from __future__ import annotations
@@ -25,13 +35,18 @@ import hashlib
 import json
 import os
 import shutil
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 import pandas as pd
 
+from .checkpoint import (completed_buckets, fsync_path, fsync_tree,
+                         write_json_atomic)
+
 _ROW_GROUP = 65536          # rows per parquet row group / write slice
 _HASH_CHUNK = 1 << 20       # bytes per content-hash read
+# helper columns added by `_export`, dropped before the write
+_PART, _ORDER = "__part", "__order"
 
 
 def _shard_hash(s: pd.Series) -> np.ndarray:
@@ -44,153 +59,6 @@ def _read_meta(sdir: str) -> dict:
     with open(os.path.join(sdir, "_meta.json")) as f:
         return json.load(f)
 
-
-def write_training_shards(ds, out_dir: str, *, key_col: str,
-                          n_shards: int = 16,
-                          columns: Optional[List[str]] = None,
-                          shared_fs: bool = False,
-                          row_group_size: int = _ROW_GROUP) -> pd.DataFrame:
-    """Export ``ds`` as ``n_shards`` deterministic parquet shards.
-
-    Returns the manifest DataFrame (shard, rows, content_hash), built
-    from the rows each writer task returns (newly written shards) plus
-    the committed ``_meta.json`` of shards skipped on resume — the
-    driver never rescans worker output. Skips shards whose ``_SUCCESS``
-    marker already exists (resume); refuses to resume into a directory
-    written with a different shard count.
-
-    Shard tasks write through the local filesystem path ``out_dir``;
-    on a multi-node cluster that path must be on storage shared by
-    every node (NFS, fuse-mounted object store) — pass
-    ``shared_fs=True`` to assert that, otherwise a >1-node cluster is
-    rejected up front instead of silently scattering shards across
-    worker-local disks.
-
-    Memory: one task holds one shard's rows (sorting needs them);
-    size ``n_shards`` so data_size / n_shards fits a worker heap —
-    the parquet itself is written in bounded row-group slices, so
-    raising ``n_shards`` is the only knob needed at scale.
-    """
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
-    from ..relational import bucketed_map_groups
-
-    if ray.is_initialized() and not shared_fs:
-        alive = [n for n in ray.nodes() if n.get("Alive")]
-        if len(alive) > 1:
-            raise ValueError(
-                "write_training_shards writes shards through the "
-                f"filesystem path {out_dir!r}; on a multi-node cluster "
-                "that path must be shared storage visible to every "
-                "node — pass shared_fs=True to assert it is")
-
-    os.makedirs(out_dir, exist_ok=True)
-    meta_path = os.path.join(out_dir, "_SHARDS.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            prev = json.load(f)
-        if prev["n_shards"] != n_shards:
-            raise ValueError(
-                f"resume mismatch: directory has n_shards="
-                f"{prev['n_shards']}, requested {n_shards}")
-    else:
-        with open(meta_path, "w") as f:
-            json.dump({"n_shards": n_shards, "key_col": key_col}, f)
-
-    done = {
-        int(d.split("=")[1])
-        for d in os.listdir(out_dir)
-        if d.startswith("shard=") and not d.endswith(".tmp")
-        and os.path.exists(os.path.join(out_dir, d, "_SUCCESS"))}
-
-    if columns is not None:
-        ds = ds.map_batches(lambda b: b[columns], batch_format="pandas")
-
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy(deep=False)
-        h = _shard_hash(b[key_col])
-        b["__h"] = h.astype("uint64")
-        b["__shard"] = (h % n_shards).astype("int32")
-        return b.loc[~b["__shard"].isin(done)]
-
-    def write_shard(g: pd.DataFrame) -> dict:
-        shard = int(g["__shard"].iloc[0])
-        sdir = os.path.join(out_dir, f"shard={shard:05d}")
-        if os.path.exists(os.path.join(sdir, "_meta.json")):
-            # an earlier (crashed-after-rename or speculatively
-            # retried) task already committed this shard — the rename
-            # IS the commit, so adopt its manifest row
-            return _read_meta(sdir)
-        g = (g.sort_values(["__h", key_col], kind="mergesort")
-             .drop(columns=["__h", "__shard"]).reset_index(drop=True))
-        # unique tmp dir per writer so concurrent retries never
-        # collide; only the rename below is the commit point
-        tmp = f"{sdir}.tmp-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        ppath = os.path.join(tmp, "part.parquet")
-        schema = pa.Schema.from_pandas(g, preserve_index=False)
-        with pq.ParquetWriter(ppath, schema) as w:
-            for i in range(0, max(len(g), 1), row_group_size):
-                w.write_table(pa.Table.from_pandas(
-                    g.iloc[i:i + row_group_size], schema=schema,
-                    preserve_index=False))
-        # content identity = the parquet bytes themselves (the sort
-        # above makes them partitioning-invariant), hashed streaming
-        hasher = hashlib.blake2b(digest_size=16)
-        with open(ppath, "rb") as f:
-            for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
-                hasher.update(chunk)
-        meta = {"shard": shard, "rows": int(len(g)),
-                "content_hash": hasher.hexdigest()}
-        with open(os.path.join(tmp, "_meta.json"), "w") as f:
-            json.dump(meta, f)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("")
-        try:
-            os.rename(tmp, sdir)             # the one atomic commit
-        except OSError:
-            # another writer committed first; keep its shard
-            shutil.rmtree(tmp, ignore_errors=True)
-            meta = _read_meta(sdir)
-        return meta
-
-    tagged = ds.map_batches(add_shard, batch_format="pandas")
-    # one group per shard id: the shard file is written INSIDE the
-    # bucketed combine (shard count chosen ≫ nodes bounds skew the
-    # same way the checkpoint writer does); each task RETURNS its
-    # manifest row, so the manifest needs no output rescan
-    def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({"shard": pd.Series([], dtype="int64"),
-                                 "rows": pd.Series([], dtype="int64"),
-                                 "content_hash": pd.Series([],
-                                                           dtype=object)})
-        rows = [write_shard(gg)
-                for _, gg in g.groupby("__shard", sort=False)]
-        return pd.DataFrame(rows)
-
-    written = bucketed_map_groups(tagged, ["__shard"],
-                                  run_bucket).to_pandas()
-    rows = ([] if written.empty else
-            written.to_dict("records"))
-    for shard in done:      # committed in a previous run
-        rows.append(_read_meta(os.path.join(out_dir,
-                                            f"shard={shard:05d}")))
-    # plain-python values: manifest rows round-trip through json
-    rows = [{"shard": int(m["shard"]), "rows": int(m["rows"]),
-             "content_hash": str(m["content_hash"])} for m in rows]
-    rows.sort(key=lambda m: m["shard"])
-    mdf = pd.DataFrame(rows).reset_index(drop=True)
-    mdf = mdf.astype({"shard": "int64", "rows": "int64"})
-    with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-        json.dump(rows, f, indent=1)
-    return mdf
-
-
-# ------------------------------------------------------- sorted range export
 
 def _range_scalar(v):
     """Manifest-storable scalar for a sort-column value (JSON has no
@@ -210,18 +78,224 @@ def _sort_key_array(s: pd.Series) -> np.ndarray:
     return s.to_numpy()
 
 
+def _col_kind(s: pd.Series) -> str:
+    return ("datetime"
+            if pd.api.types.is_datetime64_any_dtype(s) else "numeric")
+
+
+def _key_float(s: pd.Series) -> np.ndarray:
+    """The column as float64 in manifest units with NULL -> NaN: NaN
+    fails every bound comparison and `np.searchsorted` places it after
+    every boundary, matching pandas' NULLs-last sort."""
+    v = _sort_key_array(s).astype(np.float64)
+    v[s.isna().to_numpy()] = np.nan
+    return v
+
+
+def _key_bounds(s: pd.Series) -> tuple:
+    """(vmin, vmax) of a column's non-NULL values as manifest scalars;
+    (None, None) when every value is NULL. A NULL never bounds a
+    partition: a NaT reads as int64 min and pandas sorts NULLs last,
+    so counting one would make pruned reads skip matching rows."""
+    key = _sort_key_array(s)[s.notna().to_numpy()]
+    if not len(key):
+        return None, None
+    return _range_scalar(key.min()), _range_scalar(key.max())
+
+
+# ------------------------------------------------------ the commit protocol
+
+def _resume_layout(path: str, identity: dict,
+                   derive: Optional[Callable[[], dict]]) -> dict:
+    """The directory's recorded layout. A first run records
+    ``identity`` plus what ``derive()`` computes from the data (sampled
+    boundaries); a re-run must request the same identity and reuses the
+    recorded derivation, so a resume can never re-partition."""
+    if os.path.exists(path):
+        with open(path) as f:
+            layout = json.load(f)
+        recorded = {k: layout.get(k) for k in identity}
+        if recorded != identity:
+            raise ValueError(f"resume mismatch: directory has {recorded}, "
+                             f"requested {identity}")
+        return layout
+    layout = {**identity, **(derive() if derive else {})}
+    write_json_atomic(path, layout)
+    return layout
+
+
+def _commit(g: pd.DataFrame, out_dir: str, prefix: str,
+            sort_by: List[str], fields: Callable) -> dict:
+    """Write one partition and commit it with one directory rename;
+    returns its `_meta.json` content."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pid = int(g[_PART].iloc[0])
+    sdir = os.path.join(out_dir, f"{prefix}={pid:05d}")
+    if os.path.exists(os.path.join(sdir, "_meta.json")):
+        # an earlier (crashed-after-rename or speculatively retried)
+        # task already committed this partition — the rename IS the
+        # commit, so adopt its manifest row
+        return _read_meta(sdir)
+    g = (g.sort_values(sort_by, kind="mergesort")
+         .drop(columns=[c for c in (_PART, _ORDER) if c in g])
+         .reset_index(drop=True))
+    # unique tmp dir per writer so concurrent retries never collide;
+    # only the rename below is the commit point
+    tmp = f"{sdir}.tmp-{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    ppath = os.path.join(tmp, "part.parquet")
+    schema = pa.Schema.from_pandas(g, preserve_index=False)
+    with pq.ParquetWriter(ppath, schema) as w:
+        for i in range(0, max(len(g), 1), _ROW_GROUP):
+            w.write_table(pa.Table.from_pandas(
+                g.iloc[i:i + _ROW_GROUP], schema=schema,
+                preserve_index=False))
+    # content identity = the parquet bytes themselves (the sort above
+    # makes them partitioning-invariant), hashed streaming
+    hasher = hashlib.blake2b(digest_size=16)
+    with open(ppath, "rb") as f:
+        for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
+            hasher.update(chunk)
+    meta = {prefix: pid, "rows": int(len(g)),
+            **fields(g, hasher.hexdigest())}
+    with open(os.path.join(tmp, "_meta.json"), "w") as f:
+        json.dump(meta, f)
+    open(os.path.join(tmp, "_SUCCESS"), "w").close()
+    fsync_tree(tmp)
+    try:
+        os.rename(tmp, sdir)             # the one atomic commit
+    except OSError:
+        # another writer committed first; keep its partition
+        shutil.rmtree(tmp, ignore_errors=True)
+        return _read_meta(sdir)
+    fsync_path(out_dir)
+    return meta
+
+
+def _content_hash_only(g: pd.DataFrame, content_hash: str) -> dict:
+    return {"content_hash": content_hash}
+
+
+def _export(ds, out_dir: str, *, shared_fs: bool, layout_file: str,
+            identity: dict, prefix: str, assign: Callable,
+            sort_by: List[str], manifest: Callable,
+            derive: Optional[Callable[[], dict]] = None,
+            fields: Callable = _content_hash_only,
+            n_buckets: Optional[int] = None) -> pd.DataFrame:
+    """Export ``ds`` as committed ``<prefix>=NNNNN/`` partitions.
+
+    ``assign(batch, layout)`` returns each row's partition id and an
+    optional extra sort column (``_ORDER``); each partition is sorted
+    by ``sort_by`` and its `_meta.json` is ``{prefix: id, "rows": n,
+    **fields(rows, content_hash)}``. ``manifest(layout, metas)`` shapes
+    `_MANIFEST.json`. Returns the manifest DataFrame, built from the
+    rows each writer task returns (newly written partitions) plus the
+    committed ``_meta.json`` of partitions skipped on resume — the
+    driver never rescans worker output. ``shared_fs``: see
+    `write_training_shards`."""
+    import ray
+
+    from ..relational import bucketed_map_groups
+
+    if ray.is_initialized() and not shared_fs:
+        if sum(1 for n in ray.nodes() if n.get("Alive")) > 1:
+            raise ValueError(
+                f"this export writes its {prefix}= directories through "
+                f"the filesystem path {out_dir!r}; on a multi-node "
+                "cluster that path must be shared storage visible to "
+                "every node — pass shared_fs=True to assert it is")
+    os.makedirs(out_dir, exist_ok=True)
+    layout = _resume_layout(os.path.join(out_dir, layout_file), identity,
+                            derive)
+    # a writer that died before its rename left a tmp dir; it holds no
+    # committed rows, and a glob over <prefix>=*/ must not find it
+    for name in os.listdir(out_dir):
+        if name.startswith(f"{prefix}=") and ".tmp-" in name:
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+    done = completed_buckets(out_dir, prefix)
+
+    def tag(b: pd.DataFrame) -> pd.DataFrame:
+        part, order = assign(b, layout)
+        b = b.copy(deep=False)
+        if order is not None:
+            b[_ORDER] = order
+        b[_PART] = part
+        return b.loc[~b[_PART].isin(done)]
+
+    # one group per partition id: the partition file is written INSIDE
+    # the bucketed combine (partition count chosen ≫ nodes bounds skew
+    # the same way the checkpoint writer does); each task RETURNS its
+    # `_meta.json` as JSON text, so no value changes type on the way
+    def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"meta": pd.Series(
+            [json.dumps(_commit(p, out_dir, prefix, sort_by, fields))
+             for _, p in g.groupby(_PART, sort=False)], dtype=object)})
+
+    tagged = ds.map_batches(tag, batch_format="pandas")
+    written = bucketed_map_groups(tagged, [_PART], run_bucket,
+                                  n_buckets=n_buckets).to_pandas()
+    metas = [json.loads(m) for m in written["meta"]] if len(written) else []
+    metas += [_read_meta(os.path.join(out_dir, f"{prefix}={p:05d}"))
+              for p in done]
+    metas.sort(key=lambda m: m[prefix])
+    write_json_atomic(os.path.join(out_dir, "_MANIFEST.json"),
+                      manifest(layout, metas), indent=1)
+    if not metas:
+        return pd.DataFrame(columns=[prefix, "rows", "content_hash"])
+    return pd.DataFrame(metas).astype({prefix: "int64", "rows": "int64"})
+
+
+# ------------------------------------------------------------ the writers
+
+def write_training_shards(ds, out_dir: str, *, key_col: str,
+                          n_shards: int = 16,
+                          shared_fs: bool = False) -> pd.DataFrame:
+    """Export ``ds`` as ``n_shards`` deterministic parquet shards
+    (``shard=NNNNN/part.parquet``); project columns before the call.
+
+    Returns the manifest DataFrame (shard, rows, content_hash). Skips
+    shards whose ``_SUCCESS`` marker already exists (resume); refuses
+    to resume into a directory written with a different shard count or
+    key column.
+
+    Shard tasks write through the local filesystem path ``out_dir``;
+    on a multi-node cluster that path must be on storage shared by
+    every node (NFS, fuse-mounted object store) — pass
+    ``shared_fs=True`` to assert that, otherwise a >1-node cluster is
+    rejected up front instead of silently scattering shards across
+    worker-local disks.
+
+    Memory: one task holds one shard's rows (sorting needs them);
+    size ``n_shards`` so data_size / n_shards fits a worker heap —
+    the parquet itself is written in bounded row-group slices, so
+    raising ``n_shards`` is the only knob needed at scale.
+    """
+    def assign(b: pd.DataFrame, layout: dict):
+        h = _shard_hash(b[key_col])
+        return (h % n_shards).astype("int32"), h.astype("uint64")
+
+    return _export(ds, out_dir, shared_fs=shared_fs,
+                   layout_file="_SHARDS.json",
+                   identity={"n_shards": n_shards, "key_col": key_col},
+                   prefix="shard", assign=assign, sort_by=[_ORDER, key_col],
+                   manifest=lambda layout, metas: metas)
+
+
+# ------------------------------------------------------- sorted range export
+
 def write_sorted_export(ds, out_dir: str, *, sort_col: str,
                         tiebreak_cols: Optional[List[str]] = None,
                         n_ranges: Optional[int] = None,
-                        columns: Optional[List[str]] = None,
-                        shared_fs: bool = False,
-                        row_group_size: int = _ROW_GROUP) -> pd.DataFrame:
+                        shared_fs: bool = False) -> pd.DataFrame:
     """GLOBALLY SORTED export: range-partitioned parquet where range
     directories concatenated in order form one totally sorted dataset,
     plus a per-range (vmin, vmax) manifest enabling PRUNED range reads
     (`read_sorted_range`) — the serving-side complement to the
-    hash-sharded trainer export above (same atomic rename commit,
-    resume, and shared-filesystem contract).
+    hash-sharded trainer export above (same commit, resume, and
+    shared-filesystem contract).
 
     Range boundaries come from a deterministic bounded hash-sample of
     the sort column (quantile placement — boundary choice only affects
@@ -231,134 +305,37 @@ def write_sorted_export(ds, out_dir: str, *, sort_col: str,
     range file requires a total order: pass ``tiebreak_cols`` covering
     duplicates of ``sort_col`` (e.g. a unique id).
     """
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
-    from ..relational import _sample_order_values, bucketed_map_groups
-
-    if ray.is_initialized() and not shared_fs:
-        alive = [n for n in ray.nodes() if n.get("Alive")]
-        if len(alive) > 1:
-            raise ValueError(
-                f"write_sorted_export writes through the filesystem "
-                f"path {out_dir!r}; on a multi-node cluster it must be "
-                "shared storage — pass shared_fs=True to assert it is")
-
-    from ..relational import default_buckets
+    from ..relational import _sample_order_values, default_buckets
     K = n_ranges or default_buckets()
-    os.makedirs(out_dir, exist_ok=True)
-    meta_path = os.path.join(out_dir, "_SORTED.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            prev = json.load(f)
-        if prev["n_ranges"] != K or prev["sort_col"] != sort_col:
-            raise ValueError(
-                f"resume mismatch: directory has n_ranges="
-                f"{prev['n_ranges']} sort_col={prev['sort_col']!r}, "
-                f"requested {K}/{sort_col!r}")
-        bounds = np.array(prev["bounds"], dtype=np.float64)
-        kind = prev["kind"]
-    else:
-        sample = _sample_order_values(ds, sort_col)
-        kind = ("datetime" if np.issubdtype(np.asarray(sample).dtype,
-                                            np.datetime64)
-                else "numeric")
-        snum = (np.asarray(sample).astype("datetime64[us]").view("int64")
-                if kind == "datetime" else
-                np.asarray(sample, dtype=np.float64))
-        bounds = (np.quantile(snum.astype(np.float64),
-                              np.linspace(0, 1, K + 1)[1:-1],
+
+    def derive() -> dict:
+        # a NULL never places a boundary (one NaN would make them all
+        # NaN); NULL rows go to the last range, as they sort last
+        sample = pd.Series(_sample_order_values(ds, sort_col)).dropna()
+        snum = _sort_key_array(sample).astype(np.float64)
+        bounds = (np.quantile(snum, np.linspace(0, 1, K + 1)[1:-1],
                               method="lower")
-                  if len(snum) >= 2 else np.array([]))
-        with open(meta_path, "w") as f:
-            json.dump({"n_ranges": K, "sort_col": sort_col,
-                       "kind": kind, "bounds": list(map(float, bounds))},
-                      f)
+                  if len(snum) >= 2 else [])
+        return {"kind": _col_kind(sample), "bounds": list(map(float, bounds))}
 
-    done = {
-        int(d.split("=")[1])
-        for d in os.listdir(out_dir)
-        if d.startswith("range=") and not d.endswith(".tmp")
-        and os.path.exists(os.path.join(out_dir, d, "_SUCCESS"))}
+    def assign(b: pd.DataFrame, layout: dict):
+        bounds = np.array(layout["bounds"], dtype=np.float64)
+        return np.searchsorted(bounds, _key_float(b[sort_col]),
+                               side="right").astype("int32"), None
 
-    if columns is not None:
-        cols = list(dict.fromkeys([sort_col, *(tiebreak_cols or []),
-                                   *columns]))
-        ds = ds.map_batches(lambda b: b[cols], batch_format="pandas")
+    def fields(g: pd.DataFrame, content_hash: str) -> dict:
+        vmin, vmax = _key_bounds(g[sort_col])
+        return {"vmin": vmin, "vmax": vmax, "content_hash": content_hash}
 
-    def add_rng(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy(deep=False)
-        v = _sort_key_array(b[sort_col]).astype(np.float64)
-        b["__rng"] = np.searchsorted(bounds, v, side="right") \
-            .astype("int32")
-        return b.loc[~b["__rng"].isin(done)]
-
-    sort_by = [sort_col, *(tiebreak_cols or [])]
-
-    def write_range(g: pd.DataFrame) -> dict:
-        rng = int(g["__rng"].iloc[0])
-        sdir = os.path.join(out_dir, f"range={rng:05d}")
-        if os.path.exists(os.path.join(sdir, "_meta.json")):
-            return _read_meta(sdir)
-        g = (g.sort_values(sort_by, kind="mergesort")
-             .drop(columns="__rng").reset_index(drop=True))
-        tmp = f"{sdir}.tmp-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        ppath = os.path.join(tmp, "part.parquet")
-        schema = pa.Schema.from_pandas(g, preserve_index=False)
-        with pq.ParquetWriter(ppath, schema) as w:
-            for i in range(0, max(len(g), 1), row_group_size):
-                w.write_table(pa.Table.from_pandas(
-                    g.iloc[i:i + row_group_size], schema=schema,
-                    preserve_index=False))
-        hasher = hashlib.blake2b(digest_size=16)
-        with open(ppath, "rb") as f:
-            for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
-                hasher.update(chunk)
-        key = _sort_key_array(g[sort_col])
-        meta = {"range": rng, "rows": int(len(g)),
-                "vmin": _range_scalar(key[0]) if len(g) else None,
-                "vmax": _range_scalar(key[-1]) if len(g) else None,
-                "content_hash": hasher.hexdigest()}
-        with open(os.path.join(tmp, "_meta.json"), "w") as f:
-            json.dump(meta, f)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("")
-        try:
-            os.rename(tmp, sdir)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-            meta = _read_meta(sdir)
-        return meta
-
-    def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({"range": pd.Series([], dtype="int64"),
-                                 "rows": pd.Series([], dtype="int64"),
-                                 "vmin": pd.Series([], dtype="float64"),
-                                 "vmax": pd.Series([], dtype="float64"),
-                                 "content_hash": pd.Series([],
-                                                           dtype=object)})
-        return pd.DataFrame([write_range(gg)
-                             for _, gg in g.groupby("__rng", sort=False)])
-
-    tagged = ds.map_batches(add_rng, batch_format="pandas")
-    written = bucketed_map_groups(tagged, ["__rng"], run_bucket,
-                                  n_buckets=K).to_pandas()
-    rows = [] if written.empty else written.to_dict("records")
-    for rng in done:
-        rows.append(_read_meta(os.path.join(out_dir, f"range={rng:05d}")))
-    rows = [{"range": int(m["range"]), "rows": int(m["rows"]),
-             "vmin": m["vmin"], "vmax": m["vmax"],
-             "content_hash": str(m["content_hash"])} for m in rows]
-    rows.sort(key=lambda m: m["range"])
-    with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-        json.dump({"kind": kind, "sort_col": sort_col, "ranges": rows},
-                  f, indent=1)
-    mdf = pd.DataFrame(rows).reset_index(drop=True)
-    return mdf.astype({"range": "int64", "rows": "int64"})
+    return _export(ds, out_dir, shared_fs=shared_fs,
+                   layout_file="_SORTED.json",
+                   identity={"n_ranges": K, "sort_col": sort_col},
+                   derive=derive, prefix="range", assign=assign,
+                   sort_by=[sort_col, *(tiebreak_cols or [])],
+                   fields=fields, n_buckets=K,
+                   manifest=lambda layout, metas: {
+                       "kind": layout["kind"], "sort_col": sort_col,
+                       "ranges": metas})
 
 
 def _read_part_files(files: List[str], columns: Optional[List[str]]):
@@ -375,51 +352,70 @@ def _read_part_files(files: List[str], columns: Optional[List[str]]):
     return rd.read_parquet(files, columns=columns)
 
 
+def _bound_scalar(kind: str, v):
+    """A read bound in manifest units (datetimes -> epoch us)."""
+    if v is None:
+        return None
+    if kind == "datetime":
+        return int(np.datetime64(pd.Timestamp(v), "us").view("int64"))
+    return float(v)
+
+
+def _pruned_read(out_dir: str, ranges: List[dict], preds: dict,
+                 columns: Optional[List[str]]):
+    """Open only the ``range=NNNNN`` files whose manifest bounds
+    intersect every predicate, then trim their rows to the exact
+    predicate. ``preds``: {col: (kind, lo, hi, vmin field, vmax
+    field)}, bounds inclusive, None = open end. A NULL key matches no
+    bound, so a range holding only NULL keys is never opened under
+    one. Returns (Dataset, n_files_read); (None, 0) if none match."""
+    bounded = {c: (_bound_scalar(kind, lo), _bound_scalar(kind, hi),
+                   kmin, kmax)
+               for c, (kind, lo, hi, kmin, kmax) in preds.items()
+               if lo is not None or hi is not None}
+
+    def keep(m: dict) -> bool:
+        for lo, hi, kmin, kmax in bounded.values():
+            if (m[kmin] is None
+                    or (hi is not None and m[kmin] > hi)
+                    or (lo is not None and m[kmax] < lo)):
+                return False
+        return m["rows"] > 0
+
+    files = [os.path.join(out_dir, f"range={m['range']:05d}",
+                          "part.parquet")
+             for m in ranges if keep(m)]
+    if not files:
+        return None, 0
+    if columns is not None:          # the trim below needs the keys
+        columns = [*(c for c in bounded if c not in columns), *columns]
+    ds = _read_part_files(files, columns)
+    if not bounded:
+        return ds, len(files)
+
+    def trim(b: pd.DataFrame) -> pd.DataFrame:
+        m = np.ones(len(b), dtype=bool)
+        for c, (lo, hi, _, _) in bounded.items():
+            v = _key_float(b[c])
+            if lo is not None:
+                m &= v >= lo
+            if hi is not None:
+                m &= v <= hi
+        return b.loc[m]
+
+    return ds.map_batches(trim, batch_format="pandas"), len(files)
+
+
 def read_sorted_range(out_dir: str, lo=None, hi=None,
                       columns: Optional[List[str]] = None):
     """Pruned read over a `write_sorted_export` directory: only range
     files whose manifest [vmin, vmax] intersects [lo, hi] are opened
     (both bounds inclusive; None = open end). Returns (Dataset,
     n_files_read) — the count makes pruning observable/testable."""
-    import ray.data as rd
-
     with open(os.path.join(out_dir, "_MANIFEST.json")) as f:
         man = json.load(f)
-    kind, sort_col = man["kind"], man["sort_col"]
-
-    def conv(v):
-        if v is None:
-            return None
-        if kind == "datetime":
-            return int(np.datetime64(pd.Timestamp(v), "us").view("int64"))
-        return float(v)
-
-    lo_s, hi_s = conv(lo), conv(hi)
-    files = [
-        os.path.join(out_dir, f"range={m['range']:05d}", "part.parquet")
-        for m in man["ranges"]
-        if m["rows"] > 0
-        and (hi_s is None or m["vmin"] <= hi_s)
-        and (lo_s is None or m["vmax"] >= lo_s)]
-    if not files:
-        return None, 0
-    need_trim = not (lo_s is None and hi_s is None)
-    if columns is not None and need_trim and sort_col not in columns:
-        columns = [sort_col, *columns]   # the trim filter needs the key
-    ds = _read_part_files(files, columns)
-    if lo_s is None and hi_s is None:
-        return ds, len(files)
-
-    def trim(b: pd.DataFrame) -> pd.DataFrame:
-        v = _sort_key_array(b[sort_col]).astype(np.float64)
-        m = np.ones(len(b), dtype=bool)
-        if lo_s is not None:
-            m &= v >= lo_s
-        if hi_s is not None:
-            m &= v <= hi_s
-        return b.loc[m]
-
-    return ds.map_batches(trim, batch_format="pandas"), len(files)
+    return _pruned_read(out_dir, man["ranges"], {
+        man["sort_col"]: (man["kind"], lo, hi, "vmin", "vmax")}, columns)
 
 
 # ------------------------------------------------------------- z-order export
@@ -435,11 +431,6 @@ def _morton16(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x = (x | (x << np.uint16(1))) & np.uint16(0x5555)
         return x
     return ((spread(a) << np.uint16(1)) | spread(b)).astype(np.uint16)
-
-
-def _col_kind(s: pd.Series) -> str:
-    return ("datetime"
-            if pd.api.types.is_datetime64_any_dtype(s) else "numeric")
 
 
 def _quantize(v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -470,62 +461,38 @@ def _sample_rows(ds, cols: List[str], k: int = 4096) -> pd.DataFrame:
 def write_zorder_export(ds, out_dir: str, *, cols: List[str],
                         tiebreak_cols: Optional[List[str]] = None,
                         n_ranges: Optional[int] = None,
-                        shared_fs: bool = False,
-                        row_group_size: int = _ROW_GROUP) -> pd.DataFrame:
+                        shared_fs: bool = False) -> pd.DataFrame:
     """Z-ORDER clustered export: rows are range-partitioned by the
     Morton interleaving of two columns' sampled-quantile rank codes,
     so files are simultaneously clustered on BOTH columns and a
     predicate on EITHER prunes file reads via the manifest's per-file
     per-column [vmin, vmax] — the multi-dimensional complement of
-    `write_sorted_export` (single-column total order). Same atomic
-    rename commit, resume, manifest and shared-filesystem contract.
+    `write_sorted_export` (single-column total order). Same commit,
+    resume, manifest and shared-filesystem contract.
 
     Clustering quality, never correctness, depends on the sampled
     quantile grids (256 levels per column from a bounded joint
     sample); pruning bounds in the manifest are true min/max of the
     original values, so a skewed sample only costs balance.
     """
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
-
-    from ..relational import bucketed_map_groups, default_buckets
+    from ..relational import default_buckets
 
     if len(cols) != 2:
         raise ValueError("write_zorder_export clusters exactly 2 columns")
-    if ray.is_initialized() and not shared_fs:
-        alive = [n for n in ray.nodes() if n.get("Alive")]
-        if len(alive) > 1:
-            raise ValueError(
-                f"write_zorder_export writes through the filesystem "
-                f"path {out_dir!r}; on a multi-node cluster it must be "
-                "shared storage — pass shared_fs=True to assert it is")
-
     K = n_ranges or default_buckets()
-    os.makedirs(out_dir, exist_ok=True)
-    meta_path = os.path.join(out_dir, "_ZORDER.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            prev = json.load(f)
-        if prev["n_ranges"] != K or prev["cols"] != list(cols):
-            raise ValueError(
-                f"resume mismatch: directory has n_ranges="
-                f"{prev['n_ranges']} cols={prev['cols']}, "
-                f"requested {K}/{list(cols)}")
-        kinds = prev["kinds"]
-        grids = [np.array(g, dtype=np.float64) for g in prev["grids"]]
-        zbounds = np.array(prev["zbounds"], dtype=np.int64)
-    else:
+
+    def derive() -> dict:
         sample = _sample_rows(ds, list(cols))
         kinds = [(_col_kind(sample[c]) if len(sample) else "numeric")
                  for c in cols]
         grids, codes = [], []
         for c in cols:
-            v = (_sort_key_array(sample[c]).astype(np.float64)
-                 if len(sample) else np.array([], dtype=np.float64))
-            g = (np.quantile(v, np.linspace(0, 1, 256)[1:-1],
+            v = (_key_float(sample[c]) if len(sample)
+                 else np.array([], dtype=np.float64))
+            known = v[~np.isnan(v)]     # a NULL never places a boundary
+            g = (np.quantile(known, np.linspace(0, 1, 256)[1:-1],
                              method="lower")
-                 if len(v) >= 2 else np.array([], dtype=np.float64))
+                 if len(known) >= 2 else np.array([], dtype=np.float64))
             g = np.unique(g)
             grids.append(g)
             codes.append(_quantize(v, g))
@@ -533,89 +500,34 @@ def write_zorder_export(ds, out_dir: str, *, cols: List[str],
              if len(sample) else np.array([], dtype=np.int64))
         zbounds = (np.quantile(z, np.linspace(0, 1, K + 1)[1:-1],
                                method="lower").astype(np.int64)
-                   if len(z) >= 2 else np.array([], dtype=np.int64))
-        with open(meta_path, "w") as f:
-            json.dump({"n_ranges": K, "cols": list(cols), "kinds": kinds,
-                       "grids": [list(map(float, g)) for g in grids],
-                       "zbounds": [int(b) for b in zbounds]}, f)
+                   if len(z) >= 2 else [])
+        return {"kinds": kinds,
+                "grids": [list(map(float, g)) for g in grids],
+                "zbounds": [int(b) for b in zbounds]}
 
-    done = {
-        int(d.split("=")[1])
-        for d in os.listdir(out_dir)
-        if d.startswith("range=") and not d.endswith(".tmp")
-        and os.path.exists(os.path.join(out_dir, d, "_SUCCESS"))}
-
-    def add_rng(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy(deep=False)
-        c0 = _quantize(_sort_key_array(b[cols[0]]), grids[0])
-        c1 = _quantize(_sort_key_array(b[cols[1]]), grids[1])
+    def assign(b: pd.DataFrame, layout: dict):
+        c0, c1 = (_quantize(_key_float(b[c]),
+                            np.array(g, dtype=np.float64))
+                  for c, g in zip(cols, layout["grids"]))
         z = _morton16(c0, c1).astype(np.int64)
-        b["__z"] = z
-        b["__rng"] = np.searchsorted(zbounds, z,
-                                     side="right").astype("int32")
-        return b.loc[~b["__rng"].isin(done)]
+        zbounds = np.array(layout["zbounds"], dtype=np.int64)
+        return np.searchsorted(zbounds, z, side="right").astype("int32"), z
 
-    sort_by = ["__z", *cols, *(tiebreak_cols or [])]
-
-    def write_range(g: pd.DataFrame) -> dict:
-        rng = int(g["__rng"].iloc[0])
-        sdir = os.path.join(out_dir, f"range={rng:05d}")
-        if os.path.exists(os.path.join(sdir, "_meta.json")):
-            return _read_meta(sdir)
-        g = (g.sort_values(sort_by, kind="mergesort")
-             .drop(columns=["__z", "__rng"]).reset_index(drop=True))
-        tmp = f"{sdir}.tmp-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        ppath = os.path.join(tmp, "part.parquet")
-        schema = pa.Schema.from_pandas(g, preserve_index=False)
-        with pq.ParquetWriter(ppath, schema) as w:
-            for i in range(0, max(len(g), 1), row_group_size):
-                w.write_table(pa.Table.from_pandas(
-                    g.iloc[i:i + row_group_size], schema=schema,
-                    preserve_index=False))
-        hasher = hashlib.blake2b(digest_size=16)
-        with open(ppath, "rb") as f:
-            for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
-                hasher.update(chunk)
-        meta = {"range": rng, "rows": int(len(g)),
-                "content_hash": hasher.hexdigest()}
+    def fields(g: pd.DataFrame, content_hash: str) -> dict:
+        meta = {"content_hash": content_hash}
         for c in cols:
-            key = _sort_key_array(g[c])
-            meta[f"vmin__{c}"] = _range_scalar(key.min()) if len(g) else None
-            meta[f"vmax__{c}"] = _range_scalar(key.max()) if len(g) else None
-        with open(os.path.join(tmp, "_meta.json"), "w") as f:
-            json.dump(meta, f)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("")
-        try:
-            os.rename(tmp, sdir)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-            meta = _read_meta(sdir)
+            meta[f"vmin__{c}"], meta[f"vmax__{c}"] = _key_bounds(g[c])
         return meta
 
-    def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({"range": pd.Series([], dtype="int64"),
-                                 "rows": pd.Series([], dtype="int64"),
-                                 "content_hash": pd.Series([],
-                                                           dtype=object)})
-        return pd.DataFrame([write_range(gg)
-                             for _, gg in g.groupby("__rng", sort=False)])
-
-    tagged = ds.map_batches(add_rng, batch_format="pandas")
-    written = bucketed_map_groups(tagged, ["__rng"], run_bucket,
-                                  n_buckets=K).to_pandas()
-    rows = [] if written.empty else written.to_dict("records")
-    for rng in done:
-        rows.append(_read_meta(os.path.join(out_dir, f"range={rng:05d}")))
-    rows.sort(key=lambda m: int(m["range"]))
-    with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-        json.dump({"cols": list(cols), "kinds": kinds, "ranges": rows},
-                  f, indent=1)
-    mdf = pd.DataFrame(rows).reset_index(drop=True)
-    return mdf.astype({"range": "int64", "rows": "int64"})
+    return _export(ds, out_dir, shared_fs=shared_fs,
+                   layout_file="_ZORDER.json",
+                   identity={"n_ranges": K, "cols": list(cols)},
+                   derive=derive, prefix="range", assign=assign,
+                   sort_by=[_ORDER, *cols, *(tiebreak_cols or [])],
+                   fields=fields, n_buckets=K,
+                   manifest=lambda layout, metas: {
+                       "cols": list(cols), "kinds": layout["kinds"],
+                       "ranges": metas})
 
 
 def read_zorder_range(out_dir: str, preds: dict,
@@ -628,60 +540,16 @@ def read_zorder_range(out_dir: str, preds: dict,
     Returns (Dataset filtered to the exact predicate rows,
     n_files_read).
     """
-    import ray.data as rd
-
     with open(os.path.join(out_dir, "_MANIFEST.json")) as f:
         man = json.load(f)
-    cols, kinds = man["cols"], man["kinds"]
-    kind_of = dict(zip(cols, kinds))
-
-    def conv(c, v):
-        if v is None:
-            return None
-        if kind_of[c] == "datetime":
-            return int(np.datetime64(pd.Timestamp(v), "us").view("int64"))
-        return float(v)
-
-    norm = {c: (conv(c, lo), conv(c, hi)) for c, (lo, hi) in preds.items()
-            if c in kind_of}
+    kind_of = dict(zip(man["cols"], man["kinds"]))
     if set(preds) - set(kind_of):
         raise ValueError(f"predicate on non-clustered column(s) "
                          f"{sorted(set(preds) - set(kind_of))}; "
-                         f"clustered: {cols}")
-
-    def keep(m) -> bool:
-        if m["rows"] == 0:
-            return False
-        for c, (lo, hi) in norm.items():
-            if hi is not None and m[f"vmin__{c}"] > hi:
-                return False
-            if lo is not None and m[f"vmax__{c}"] < lo:
-                return False
-        return True
-
-    files = [os.path.join(out_dir, f"range={m['range']:05d}",
-                          "part.parquet")
-             for m in man["ranges"] if keep(m)]
-    if not files:
-        return None, 0
-    read_cols = columns
-    if read_cols is not None:
-        read_cols = list(dict.fromkeys([*norm.keys(), *read_cols]))
-    ds = _read_part_files(files, read_cols)
-    if not norm:
-        return ds, len(files)
-
-    def trim(b: pd.DataFrame) -> pd.DataFrame:
-        m = np.ones(len(b), dtype=bool)
-        for c, (lo, hi) in norm.items():
-            v = _sort_key_array(b[c]).astype(np.float64)
-            if lo is not None:
-                m &= v >= lo
-            if hi is not None:
-                m &= v <= hi
-        return b.loc[m]
-
-    return ds.map_batches(trim, batch_format="pandas"), len(files)
+                         f"clustered: {man['cols']}")
+    return _pruned_read(out_dir, man["ranges"], {
+        c: (kind_of[c], lo, hi, f"vmin__{c}", f"vmax__{c}")
+        for c, (lo, hi) in preds.items()}, columns)
 
 
 # ------------------------------------------------ storage-partitioned join
@@ -689,118 +557,30 @@ def read_zorder_range(out_dir: str, preds: dict,
 def write_bucketed_export(ds, out_dir: str, *, key: str,
                           n_buckets: int,
                           tiebreak_cols: Optional[List[str]] = None,
-                          shared_fs: bool = False,
-                          row_group_size: int = _ROW_GROUP
-                          ) -> pd.DataFrame:
+                          shared_fs: bool = False) -> pd.DataFrame:
     """HASH-BUCKETED export: rows land in ``bucket=NNNNN/`` by the
     fixed-key siphash of ``key`` mod ``n_buckets`` — the durable form
     of "pick ONE partitioning key and reuse it": two tables exported
     with the same (hash family, n_buckets) co-locate matching keys ON
     DISK, so `read_bucketed_join` joins them bucket-by-bucket with
     ZERO shuffle at read time (the storage-partitioned join). Same
-    atomic rename commit, resume, `_SUCCESS` markers and content-hash
-    manifest as the sorted/z-order exports; `_BUCKETED.json` records
-    the layout and a resume or join against a different layout is
-    refused, never silently mis-bucketed."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray
+    commit, resume, `_SUCCESS` markers and content-hash manifest as
+    the sorted/z-order exports; `_BUCKETED.json` records the layout
+    and a resume or join against a different layout is refused, never
+    silently mis-bucketed."""
+    def assign(b: pd.DataFrame, layout: dict):
+        h = _shard_hash(b[key])
+        return (h % np.uint64(n_buckets)).astype("int32"), None
 
-    if ray.is_initialized() and not shared_fs:
-        alive = [n for n in ray.nodes() if n.get("Alive")]
-        if len(alive) > 1:
-            raise ValueError(
-                f"write_bucketed_export writes through the filesystem "
-                f"path {out_dir!r}; on a multi-node cluster it must be "
-                "shared storage — pass shared_fs=True to assert it is")
-
-    from ..relational import bucketed_map_groups
-
-    os.makedirs(out_dir, exist_ok=True)
-    meta_path = os.path.join(out_dir, "_BUCKETED.json")
-    layout = {"key": key, "n_buckets": int(n_buckets),
-              "hash": "pandas-siphash-v1"}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            prev = json.load(f)
-        if prev != layout:
-            raise ValueError(
-                f"resume mismatch: directory has layout {prev}, "
-                f"requested {layout}")
-    else:
-        with open(meta_path, "w") as f:
-            json.dump(layout, f)
-
-    done = {
-        int(d.split("=")[1])
-        for d in os.listdir(out_dir)
-        if d.startswith("bucket=") and not d.endswith(".tmp")
-        and os.path.exists(os.path.join(out_dir, d, "_SUCCESS"))}
-
-    def add_bkt(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy(deep=False)
-        b["__bkt"] = (pd.util.hash_pandas_object(b[key], index=False)
-                      .to_numpy() % np.uint64(n_buckets)).astype("int32")
-        return b.loc[~b["__bkt"].isin(done)]
-
-    sort_by = [key, *(tiebreak_cols or [])]
-
-    def write_bucket(g: pd.DataFrame) -> dict:
-        bkt = int(g["__bkt"].iloc[0])
-        sdir = os.path.join(out_dir, f"bucket={bkt:05d}")
-        if os.path.exists(os.path.join(sdir, "_meta.json")):
-            return _read_meta(sdir)
-        g = (g.sort_values(sort_by, kind="mergesort")
-             .drop(columns="__bkt").reset_index(drop=True))
-        tmp = f"{sdir}.tmp-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp)
-        ppath = os.path.join(tmp, "part.parquet")
-        schema = pa.Schema.from_pandas(g, preserve_index=False)
-        with pq.ParquetWriter(ppath, schema) as w:
-            for i in range(0, max(len(g), 1), row_group_size):
-                w.write_table(pa.Table.from_pandas(
-                    g.iloc[i:i + row_group_size], schema=schema,
-                    preserve_index=False))
-        hasher = hashlib.blake2b(digest_size=16)
-        with open(ppath, "rb") as f:
-            for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
-                hasher.update(chunk)
-        meta = {"bucket": bkt, "rows": int(len(g)),
-                "content_hash": hasher.hexdigest()}
-        with open(os.path.join(tmp, "_meta.json"), "w") as f:
-            json.dump(meta, f)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("")
-        try:
-            os.rename(tmp, sdir)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-            meta = _read_meta(sdir)
-        return meta
-
-    def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({"bucket": pd.Series([], dtype="int64"),
-                                 "rows": pd.Series([], dtype="int64"),
-                                 "content_hash": pd.Series([],
-                                                           dtype=object)})
-        return pd.DataFrame([write_bucket(gg)
-                             for _, gg in g.groupby("__bkt", sort=False)])
-
-    tagged = ds.map_batches(add_bkt, batch_format="pandas")
-    written = bucketed_map_groups(tagged, ["__bkt"], run_bucket,
-                                  n_buckets=n_buckets).to_pandas()
-    rows = [] if written.empty else written.to_dict("records")
-    for bkt in done:
-        rows.append(_read_meta(os.path.join(out_dir,
-                                            f"bucket={bkt:05d}")))
-    rows = [{"bucket": int(m["bucket"]), "rows": int(m["rows"]),
-             "content_hash": str(m["content_hash"])} for m in rows]
-    rows.sort(key=lambda m: m["bucket"])
-    with open(os.path.join(out_dir, "_MANIFEST.json"), "w") as f:
-        json.dump({**layout, "buckets": rows}, f, indent=1)
-    return pd.DataFrame(rows).reset_index(drop=True)
+    return _export(ds, out_dir, shared_fs=shared_fs,
+                   layout_file="_BUCKETED.json",
+                   identity={"key": key, "n_buckets": int(n_buckets),
+                             "hash": "pandas-siphash-v1"},
+                   prefix="bucket", assign=assign,
+                   sort_by=[key, *(tiebreak_cols or [])],
+                   n_buckets=n_buckets,
+                   manifest=lambda layout, metas: {**layout,
+                                                   "buckets": metas})
 
 
 def read_bucketed_join(dir_left: str, dir_right: str, *,

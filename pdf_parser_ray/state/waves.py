@@ -34,6 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import pandas as pd
 
+from .checkpoint import fsync_tree, write_json_atomic
+
 _REGISTRY = "_WAVES.json"
 _WAVE_META = "_WAVE.json"
 
@@ -62,24 +64,14 @@ def read_compactions(out_dir: str) -> List[dict]:
 
 def _commit_registry(out_dir: str, waves: List[dict],
                      compactions: List[dict]) -> None:
-    """Durable atomic registry replace: tmp is fsynced before the
-    rename and the directory after it. Callers must first fsync the
-    DATA the new entry points at (`_fsync_tree`), so a power loss can
+    """Durable atomic registry replace. Callers must first fsync the
+    DATA the new entry points at (`fsync_tree`), so a power loss can
     never surface a registry state newer than its data — the ordering
     prune_superseded relies on before deleting the only copy of a
     superseded generation."""
-    tmp = _registry_path(out_dir) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({"waves": waves, "compactions": compactions}, f,
-                  sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, _registry_path(out_dir))
-    dfd = os.open(out_dir, os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    finally:
-        os.close(dfd)
+    write_json_atomic(_registry_path(out_dir),
+                      {"waves": waves, "compactions": compactions},
+                      sort_keys=True)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -178,25 +170,6 @@ def _commit_with(out_dir: str, *, add_wave: Optional[dict] = None,
         _commit_registry(out_dir, cur["waves"], cur["compactions"])
 
 
-def _fsync_tree(root: str) -> None:
-    """fsync every file and directory under ``root`` (and root
-    itself): the data a registry entry is about to point at must be
-    durable BEFORE the entry is — otherwise a power loss can leave a
-    committed entry whose files vanish from page cache."""
-    for dirpath, _dirnames, filenames in os.walk(root, topdown=False):
-        for name in filenames:
-            fd = os.open(os.path.join(dirpath, name), os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        dfd = os.open(dirpath, os.O_RDONLY)
-        try:
-            os.fsync(dfd)
-        finally:
-            os.close(dfd)
-
-
 def _empty_metrics() -> pd.DataFrame:
     return pd.DataFrame({
         "bucket": pd.array([], dtype="int64"),
@@ -260,22 +233,12 @@ def extract_wave(transcript_files: Sequence[str], out_dir: str, *,
             # adopt the dir for the current pending set
             wave_files = new_files
             os.makedirs(wdir, exist_ok=True)
-            # durable atomic write, mirroring _commit_registry: fsync
-            # the content before the rename and the dir after it, so
-            # "absent or valid" holds through a power loss (a rename
-            # can be durable while un-fsynced content is not, which
-            # would leave a truncated meta wedging every re-submission)
-            tmp = meta_path + ".tmp"
-            with open(tmp, "w") as f:
-                json.dump({"files": wave_files}, f, sort_keys=True)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, meta_path)
-            dfd = os.open(wdir, os.O_RDONLY)
-            try:
-                os.fsync(dfd)
-            finally:
-                os.close(dfd)
+            # durable atomic write, so "absent or valid" holds through
+            # a power loss (a rename can be durable while un-fsynced
+            # content is not, which would leave a truncated meta
+            # wedging every re-submission)
+            write_json_atomic(meta_path, {"files": wave_files},
+                              sort_keys=True)
 
         metrics = run_extraction_from_parquet(
             wave_files, out_dir=wdir, n_buckets=n_buckets,
@@ -288,7 +251,7 @@ def extract_wave(transcript_files: Sequence[str], out_dir: str, *,
         # metrics cover only the recomputed buckets. Data durable
         # before the entry that points at it.
         lineage = read_lineage(wdir)
-        _fsync_tree(wdir)
+        fsync_tree(wdir)
         _commit_with(out_dir, add_wave={
             "wave": wave_id, "files": wave_files,
             "rows": int(lineage["rows"].sum()) if len(lineage) else 0})
@@ -430,7 +393,7 @@ def compact_waves(out_dir: str, *, prune: bool = False,
     total = sum(w["rows"] for w in waves)
     ds = ds.repartition(max(1, -(-total // target_rows_per_file)))
     ds.write_parquet(cdir)
-    _fsync_tree(cdir)   # generation durable BEFORE its entry
+    fsync_tree(cdir)   # generation durable BEFORE its entry
     entry = {"generation": gen, "covers_through": covers_through,
              "rows": int(total)}
     # commit against the CURRENT registry under the lock: waves

@@ -1,8 +1,10 @@
-"""Deterministic training-shard export: partitioning invariance,
-resume, and the re-shard guard."""
+"""Partitioned exports (state/shards.py): the commit protocol every
+writer shares — partitioning invariance, resume, adoption, the layout
+guard and crash leftovers — then each layout's reads."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -18,87 +20,6 @@ def _corpus(n=3000):
     })
 
 
-def test_shards_deterministic_across_partitioning(ray_session, tmp_path):
-    import ray.data as rd
-    from pdf_parser_ray.state.shards import write_training_shards
-    df = _corpus()
-    manifests = []
-    for i, parts in enumerate((3, 17)):
-        out = str(tmp_path / f"run{i}")
-        m = write_training_shards(rd.from_pandas(df).repartition(parts),
-                                  out, key_col="doc_id", n_shards=8)
-        manifests.append(m)
-        assert m["rows"].sum() == len(df)
-    # identical shard membership, order and content regardless of
-    # input partitioning
-    pd.testing.assert_frame_equal(manifests[0], manifests[1])
-
-
-def test_shards_resume_skips_committed(ray_session, tmp_path):
-    import ray.data as rd
-    import pyarrow.dataset as pds
-    from pdf_parser_ray.state.shards import write_training_shards
-    df = _corpus(800)
-    out = str(tmp_path / "out")
-    m1 = write_training_shards(rd.from_pandas(df), out,
-                               key_col="doc_id", n_shards=6)
-    # wipe two shards; resume must recreate exactly those
-    import shutil
-    for s in (1, 4):
-        shutil.rmtree(os.path.join(out, f"shard={s:05d}"))
-    m2 = write_training_shards(rd.from_pandas(df), out,
-                               key_col="doc_id", n_shards=6)
-    pd.testing.assert_frame_equal(m1, m2)
-    total = pds.dataset(out, format="parquet",
-                        partitioning="hive").to_table()
-    assert total.num_rows == len(df)
-    with pytest.raises(ValueError, match="resume mismatch"):
-        write_training_shards(rd.from_pandas(df), out,
-                              key_col="doc_id", n_shards=12)
-
-
-def test_shards_resume_survives_missing_success_marker(ray_session,
-                                                       tmp_path):
-    """Crash-window regression: a shard directory that exists but lost
-    its _SUCCESS marker (or predates the rename-is-commit protocol)
-    must be adopted on resume — not crash the re-run with ENOTEMPTY."""
-    import ray.data as rd
-    from pdf_parser_ray.state.shards import write_training_shards
-    df = _corpus(600)
-    out = str(tmp_path / "out")
-    m1 = write_training_shards(rd.from_pandas(df), out,
-                               key_col="doc_id", n_shards=4)
-    os.remove(os.path.join(out, "shard=00002", "_SUCCESS"))
-    m2 = write_training_shards(rd.from_pandas(df), out,
-                               key_col="doc_id", n_shards=4)
-    pd.testing.assert_frame_equal(m1, m2)
-
-
-def test_shards_multi_row_group_streaming(ray_session, tmp_path):
-    """Shards larger than the row-group slice are written in multiple
-    row groups with an identical manifest (the content hash covers the
-    parquet bytes, which the deterministic sort fixes)."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-    from pdf_parser_ray.state.shards import write_training_shards
-    df = _corpus(1200)
-    out1 = str(tmp_path / "a")
-    m1 = write_training_shards(rd.from_pandas(df).repartition(5), out1,
-                               key_col="doc_id", n_shards=3,
-                               row_group_size=100)
-    pf = pq.ParquetFile(os.path.join(out1, "shard=00000",
-                                     "part.parquet"))
-    assert pf.num_row_groups > 1
-    out2 = str(tmp_path / "b")
-    m2 = write_training_shards(rd.from_pandas(df).repartition(11), out2,
-                               key_col="doc_id", n_shards=3,
-                               row_group_size=100)
-    pd.testing.assert_frame_equal(m1, m2)
-    assert m1["rows"].sum() == len(df)
-
-
-# ----------------------------------------------------------- sorted export
-
 def _ev(n=4000):
     rng = np.random.RandomState(9)
     ts = (np.datetime64("2024-03-01", "us")
@@ -109,6 +30,250 @@ def _ev(n=4000):
         "value": rng.rand(n) * 100,
     })
 
+
+def _zorder_frame(n=6000):
+    rng = np.random.RandomState(11)
+    return pd.DataFrame({
+        "rid": np.arange(n, dtype=np.int64),
+        "a": rng.randint(0, 1000, n).astype(np.int64),
+        "b": np.round(rng.uniform(0, 100, n), 2),
+    })
+
+
+# writer -> (frame, directory prefix, arguments, one layout change per
+# recorded identity field)
+_WRITERS = {
+    "write_training_shards": (
+        lambda: _corpus(800), "shard",
+        {"key_col": "doc_id", "n_shards": 6},
+        [{"n_shards": 12}, {"key_col": "text"}]),
+    "write_sorted_export": (
+        lambda: _ev(1500), "range",
+        {"sort_col": "ts", "tiebreak_cols": ["event_id"], "n_ranges": 6},
+        [{"n_ranges": 4}, {"sort_col": "value"}]),
+    "write_zorder_export": (
+        _zorder_frame, "range",
+        {"cols": ["a", "b"], "tiebreak_cols": ["rid"], "n_ranges": 8},
+        [{"n_ranges": 16}, {"cols": ["b", "a"]}]),
+    "write_bucketed_export": (
+        _zorder_frame, "bucket",
+        {"key": "a", "n_buckets": 8, "tiebreak_cols": ["rid"]},
+        [{"n_buckets": 4}, {"key": "b"}]),
+}
+
+
+def _stamps(out):
+    """(inode, mtime) of every committed part file, by directory."""
+    return {d: (st.st_ino, st.st_mtime_ns)
+            for d in os.listdir(out)
+            if os.path.exists(os.path.join(out, d, "part.parquet"))
+            for st in [os.stat(os.path.join(out, d, "part.parquet"))]}
+
+
+def _read(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_export_commit_protocol(ray_session, tmp_path, writer):
+    import pyarrow.dataset as pds
+    import ray.data as rd
+    from pdf_parser_ray.state import shards
+    frame, prefix, kwargs, layout_changes = _WRITERS[writer]
+    df = frame()
+
+    def write(out, parts, **change):
+        return getattr(shards, writer)(
+            rd.from_pandas(df).repartition(parts), out,
+            **{**kwargs, **change})
+
+    def rows_on_disk(out):
+        return pds.dataset(out, format="parquet",
+                           partitioning="hive").count_rows()
+
+    # partitioning invariance: same manifest, same manifest bytes
+    out, other = str(tmp_path / "a"), str(tmp_path / "b")
+    m1 = write(out, 3)
+    pd.testing.assert_frame_equal(m1, write(other, 17))
+    assert m1["rows"].sum() == len(df)
+    man_path = os.path.join(out, "_MANIFEST.json")
+    man_bytes = _read(man_path)
+    assert man_bytes == _read(os.path.join(other, "_MANIFEST.json"))
+    ids = m1[prefix].tolist()
+    assert len(ids) > 3
+    part = {i: f"{prefix}={i:05d}" for i in ids}
+
+    def rerun_unchanged(rewritten):
+        before = _stamps(out)
+        pd.testing.assert_frame_equal(write(out, 5), m1)
+        assert _read(man_path) == man_bytes
+        assert rows_on_disk(out) == len(df)
+        after = _stamps(out)
+        assert sorted(after) == sorted(part.values())
+        assert {d for d in after if after[d] != before.get(d)} \
+            == {part[i] for i in rewritten}
+
+    # resume rewrites exactly the deleted partitions
+    for i in (ids[1], ids[-2]):
+        shutil.rmtree(os.path.join(out, part[i]))
+    rerun_unchanged({ids[1], ids[-2]})
+
+    # a committed partition that lost its _SUCCESS marker is adopted,
+    # not rewritten and not a crash
+    os.remove(os.path.join(out, part[ids[2]], "_SUCCESS"))
+    rerun_unchanged(set())
+
+    # a writer that died after writing _SUCCESS into its tmp dir but
+    # before the rename: the re-run ignores the tmp name, removes it and
+    # commits the partition again
+    os.rename(os.path.join(out, part[ids[0]]),
+              os.path.join(out, part[ids[0]] + ".tmp-99999"))
+    rerun_unchanged({ids[0]})
+
+    # any change to the recorded layout is refused, naming both values
+    layout_file = next(os.path.join(out, f) for f in os.listdir(out)
+                       if f.endswith(".json") and f != "_MANIFEST.json")
+    layout_bytes = _read(layout_file)
+    for change in layout_changes:
+        with pytest.raises(ValueError, match="resume mismatch") as err:
+            write(out, 5, **change)
+        (field, new), = change.items()
+        assert repr(new) in str(err.value)
+        assert repr(kwargs[field]) in str(err.value)
+    assert _read(layout_file) == layout_bytes
+    assert _read(man_path) == man_bytes
+
+
+def test_shards_resume_refuses_other_key_col(ray_session, tmp_path):
+    """A resume that re-keys the shards would mix two hash layouts in
+    one directory (and double-write rows of the deleted shard): the
+    recorded key column is part of the layout check."""
+    import ray.data as rd
+    from pdf_parser_ray.state.shards import write_training_shards
+    df = _corpus(600)
+    df["other"] = df["doc_id"][::-1].to_numpy()
+    out = str(tmp_path / "out")
+    m1 = write_training_shards(rd.from_pandas(df), out,
+                               key_col="doc_id", n_shards=4)
+    shutil.rmtree(os.path.join(out, "shard=00001"))
+    with pytest.raises(ValueError, match="resume mismatch"):
+        write_training_shards(rd.from_pandas(df), out, key_col="other",
+                              n_shards=4)
+    with open(os.path.join(out, "_SHARDS.json")) as f:
+        assert json.load(f)["key_col"] == "doc_id"
+    m2 = write_training_shards(rd.from_pandas(df), out,
+                               key_col="doc_id", n_shards=4)
+    pd.testing.assert_frame_equal(m1, m2)
+
+
+def test_shards_multi_row_group_streaming(ray_session, tmp_path):
+    """A shard larger than the row-group slice is written in multiple
+    row groups with an identical manifest (the content hash covers the
+    parquet bytes, which the deterministic sort fixes)."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from pdf_parser_ray.state.shards import _ROW_GROUP, write_training_shards
+    df = pd.DataFrame({"doc_id": np.arange(70_000, dtype=np.int64)})
+    assert len(df) > _ROW_GROUP
+    out1 = str(tmp_path / "a")
+    m1 = write_training_shards(rd.from_pandas(df).repartition(5), out1,
+                               key_col="doc_id", n_shards=1)
+    pf = pq.ParquetFile(os.path.join(out1, "shard=00000",
+                                     "part.parquet"))
+    assert pf.num_row_groups > 1
+    out2 = str(tmp_path / "b")
+    m2 = write_training_shards(rd.from_pandas(df).repartition(11), out2,
+                               key_col="doc_id", n_shards=1)
+    pd.testing.assert_frame_equal(m1, m2)
+    assert m1["rows"].sum() == len(df)
+
+
+def _no_nan(path):
+    def refuse(const):
+        raise AssertionError(f"{const} in {path}")
+    with open(path) as f:
+        return json.load(f, parse_constant=refuse)
+
+
+def test_null_sort_keys_never_bound_a_range(ray_session, tmp_path):
+    """NaT/NaN keys: a NaT reads as int64 min and pandas sorts NULLs
+    last, so neither end row of a range is its bound. Manifest bounds
+    cover non-NULL keys only, NULL rows sort last, a bounded read
+    returns exactly the SQL rows (a NULL matches no bound), and a range
+    of only NULL keys is never opened under a bound."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from pdf_parser_ray.state.shards import (read_sorted_range,
+                                             read_zorder_range,
+                                             write_sorted_export,
+                                             write_zorder_export)
+    n = 400
+    ts = pd.Series(pd.date_range("2024-03-01", periods=n, freq="h"))
+    ts.iloc[[7, 300]] = pd.NaT
+    value = np.arange(n, dtype=np.float64)
+    value[[3, 150, 399]] = np.nan
+    df = pd.DataFrame({"event_id": np.arange(n, dtype=np.int64),
+                       "ts": ts, "value": value})
+
+    def sql(col, lo, hi):
+        m = np.ones(n, dtype=bool)
+        if lo is not None:
+            m &= df[col] >= (pd.Timestamp(lo) if col == "ts" else lo)
+        if hi is not None:
+            m &= df[col] <= (pd.Timestamp(hi) if col == "ts" else hi)
+        return df[m].sort_values("event_id").reset_index(drop=True)
+
+    def got(ds):
+        return (ds.to_pandas()[df.columns.tolist()]
+                .sort_values("event_id").reset_index(drop=True))
+
+    windows = {"ts": [("2024-03-01 05:00", "2024-03-02"),
+                      (None, "2024-03-02"), ("2024-03-15", None)],
+               "value": [(20.0, None), (None, 50.0), (390.0, 500.0)]}
+    for col, wins in windows.items():
+        out = str(tmp_path / f"sorted_{col}")
+        write_sorted_export(rd.from_pandas(df).repartition(3), out,
+                            sort_col=col, tiebreak_cols=["event_id"],
+                            n_ranges=4)
+        man = _no_nan(os.path.join(out, "_MANIFEST.json"))
+        assert all(r["vmin"] <= r["vmax"] for r in man["ranges"])
+        whole = pd.concat(
+            [pq.read_table(os.path.join(out, f"range={r['range']:05d}",
+                                        "part.parquet")).to_pandas()
+             for r in man["ranges"]], ignore_index=True)
+        pd.testing.assert_frame_equal(
+            whole, df.sort_values([col, "event_id"], kind="mergesort")
+            .reset_index(drop=True))
+        for lo, hi in wins:
+            ds, n_files = read_sorted_range(out, lo, hi)
+            pd.testing.assert_frame_equal(got(ds), sql(col, lo, hi))
+    ds, _ = read_sorted_range(str(tmp_path / "sorted_ts"),
+                              "2024-03-01 05:00", "2024-03-02")
+    assert len(got(ds)) == 19
+
+    out = str(tmp_path / "zorder")
+    write_zorder_export(rd.from_pandas(df), out, cols=["ts", "value"],
+                        tiebreak_cols=["event_id"], n_ranges=4)
+    _no_nan(os.path.join(out, "_MANIFEST.json"))
+    for col, wins in windows.items():
+        for lo, hi in wins:
+            ds, _ = read_zorder_range(out, {col: (lo, hi)})
+            pd.testing.assert_frame_equal(got(ds), sql(col, lo, hi))
+
+    # every key NULL: one range with no bounds, opened only unbounded
+    out = str(tmp_path / "all_null")
+    write_sorted_export(rd.from_pandas(df.assign(ts=pd.NaT)), out,
+                        sort_col="ts", tiebreak_cols=["event_id"],
+                        n_ranges=4)
+    (r,) = _no_nan(os.path.join(out, "_MANIFEST.json"))["ranges"]
+    assert (r["rows"], r["vmin"], r["vmax"]) == (n, None, None)
+    assert read_sorted_range(out, "2024-03-01", None) == (None, 0)
+    ds, n_files = read_sorted_range(out)
+    assert (ds.count(), n_files) == (n, 1)
+
+
+# ----------------------------------------------------------- sorted export
 
 def test_sorted_export_global_order_and_pruning(ray_session, tmp_path):
     import ray.data as rd
@@ -140,35 +305,6 @@ def test_sorted_export_global_order_and_pruning(ray_session, tmp_path):
     want = (expect[(expect["ts"] >= lo) & (expect["ts"] <= hi)]
             .reset_index(drop=True))
     pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
-
-
-def test_sorted_export_deterministic_and_resume(ray_session, tmp_path):
-    import ray.data as rd
-    from pdf_parser_ray.state.shards import write_sorted_export
-    df = _ev(1500)
-    outs = []
-    for i, parts in enumerate((2, 11)):
-        out = str(tmp_path / f"s{i}")
-        m = write_sorted_export(rd.from_pandas(df).repartition(parts),
-                                out, sort_col="ts",
-                                tiebreak_cols=["event_id"], n_ranges=6)
-        outs.append(m)
-    pd.testing.assert_frame_equal(outs[0], outs[1])  # bytes invariant
-
-    # resume: wipe one committed range, re-run -> only it is rewritten,
-    # manifest identical
-    out = str(tmp_path / "s0")
-    import shutil
-    victim = os.path.join(out, "range=00002")
-    shutil.rmtree(victim)
-    m2 = write_sorted_export(rd.from_pandas(df).repartition(5), out,
-                             sort_col="ts", tiebreak_cols=["event_id"],
-                             n_ranges=6)
-    pd.testing.assert_frame_equal(m2, outs[0])
-    # re-ranging guard
-    with pytest.raises(ValueError, match="resume mismatch"):
-        write_sorted_export(rd.from_pandas(df), out, sort_col="ts",
-                            n_ranges=4)
 
 
 def test_sorted_export_pruned_column_read(ray_session, tmp_path):
@@ -229,15 +365,6 @@ def test_checkpoint_salted_write_equal_and_balanced(ray_session,
 
 # ----------------------------------------------------------- z-order export
 
-def _zorder_frame(n=6000):
-    rng = np.random.RandomState(11)
-    return pd.DataFrame({
-        "rid": np.arange(n, dtype=np.int64),
-        "a": rng.randint(0, 1000, n).astype(np.int64),
-        "b": np.round(rng.uniform(0, 100, n), 2),
-    })
-
-
 def test_zorder_prunes_both_columns_and_is_exact(ray_session, tmp_path):
     import ray.data as rd
     from pdf_parser_ray.state.shards import (read_zorder_range,
@@ -263,30 +390,6 @@ def test_zorder_prunes_both_columns_and_is_exact(ray_session, tmp_path):
         want = want.sort_values("rid").reset_index(drop=True)
         pd.testing.assert_frame_equal(got[sorted(got.columns)],
                                       want[sorted(want.columns)])
-
-
-def test_zorder_deterministic_and_resume(ray_session, tmp_path):
-    import ray.data as rd
-    from pdf_parser_ray.state.shards import write_zorder_export
-    df = _zorder_frame()
-    a, b = str(tmp_path / "za"), str(tmp_path / "zb")
-    m1 = write_zorder_export(rd.from_pandas(df), a, cols=["a", "b"],
-                             tiebreak_cols=["rid"], n_ranges=8)
-    m2 = write_zorder_export(rd.from_pandas(df).repartition(5), b,
-                             cols=["a", "b"], tiebreak_cols=["rid"],
-                             n_ranges=8)
-    assert list(m1["content_hash"]) == list(m2["content_hash"])
-    # resume: wipe two ranges, re-run -> identical manifest
-    import shutil
-    for r in (2, 5):
-        shutil.rmtree(os.path.join(a, f"range={r:05d}"))
-    m3 = write_zorder_export(rd.from_pandas(df), a, cols=["a", "b"],
-                             tiebreak_cols=["rid"], n_ranges=8)
-    assert list(m3["content_hash"]) == list(m1["content_hash"])
-    # re-clustering guard
-    with pytest.raises(ValueError, match="resume mismatch"):
-        write_zorder_export(rd.from_pandas(df), a, cols=["a", "b"],
-                            tiebreak_cols=["rid"], n_ranges=16)
 
 
 def test_zorder_rejects_unclustered_predicate(ray_session, tmp_path):
