@@ -145,6 +145,61 @@ def test_export_commit_protocol(ray_session, tmp_path, writer):
     assert _read(man_path) == man_bytes
 
 
+def test_shards_deterministic_across_partitioning(ray_session, tmp_path):
+    import ray.data as rd
+    from pdf_parser_ray.state.shards import write_training_shards
+    df = _corpus()
+    manifests = []
+    for i, parts in enumerate((3, 17)):
+        out = str(tmp_path / f"run{i}")
+        m = write_training_shards(rd.from_pandas(df).repartition(parts),
+                                  out, key_col="doc_id", n_shards=8)
+        manifests.append(m)
+        assert m["rows"].sum() == len(df)
+    # identical shard membership, order and content regardless of
+    # input partitioning
+    pd.testing.assert_frame_equal(manifests[0], manifests[1])
+
+
+def test_shards_resume_skips_committed(ray_session, tmp_path):
+    import ray.data as rd
+    import pyarrow.dataset as pds
+    from pdf_parser_ray.state.shards import write_training_shards
+    df = _corpus(800)
+    out = str(tmp_path / "out")
+    m1 = write_training_shards(rd.from_pandas(df), out,
+                               key_col="doc_id", n_shards=6)
+    # wipe two shards; resume must recreate exactly those
+    for s in (1, 4):
+        shutil.rmtree(os.path.join(out, f"shard={s:05d}"))
+    m2 = write_training_shards(rd.from_pandas(df), out,
+                               key_col="doc_id", n_shards=6)
+    pd.testing.assert_frame_equal(m1, m2)
+    total = pds.dataset(out, format="parquet",
+                        partitioning="hive").to_table()
+    assert total.num_rows == len(df)
+    with pytest.raises(ValueError, match="resume mismatch"):
+        write_training_shards(rd.from_pandas(df), out,
+                              key_col="doc_id", n_shards=12)
+
+
+def test_shards_resume_survives_missing_success_marker(ray_session,
+                                                       tmp_path):
+    """Crash-window regression: a shard directory that exists but lost
+    its _SUCCESS marker (or predates the rename-is-commit protocol)
+    must be adopted on resume — not crash the re-run with ENOTEMPTY."""
+    import ray.data as rd
+    from pdf_parser_ray.state.shards import write_training_shards
+    df = _corpus(600)
+    out = str(tmp_path / "out")
+    m1 = write_training_shards(rd.from_pandas(df), out,
+                               key_col="doc_id", n_shards=4)
+    os.remove(os.path.join(out, "shard=00002", "_SUCCESS"))
+    m2 = write_training_shards(rd.from_pandas(df), out,
+                               key_col="doc_id", n_shards=4)
+    pd.testing.assert_frame_equal(m1, m2)
+
+
 def test_shards_resume_refuses_other_key_col(ray_session, tmp_path):
     """A resume that re-keys the shards would mix two hash layouts in
     one directory (and double-write rows of the deleted shard): the
