@@ -147,9 +147,10 @@ def _check_family(index_dir: str, *, num_perm: int, bands: int,
             "guard and its band hashes are incomparable with this "
             "build. Rebuild the index.")
     if create:
+        from ..state.checkpoint import write_json_atomic
         os.makedirs(index_dir, exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(want, f)
+        # atomic: a torn stamp would fail every later wave's json.load
+        write_json_atomic(path, want)
 
 
 def write_wave_index(ds, index_dir: str, *, wave: int,

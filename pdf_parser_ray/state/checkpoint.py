@@ -1,83 +1,97 @@
-"""Per-partition checkpointing: lineage + metrics + resume.
+"""Per-partition checkpointing (lineage + metrics + resume) and the
+one partition commit of the whole state layer.
 
 The reference has no checkpointing (SURVEY.md §4); at 100 TB a failed
 job must not restart from zero. Layout::
 
     out/
-      _MANIFEST.json                 # n_buckets, key, completed count
-      bucket=00013/
-        part-00013.parquet           # written atomically (tmp -> rename)
-        _lineage.json                # rows, error_rows, key range, char
-                                     # metrics (G5 analog), wall seconds
-        _SUCCESS                     # commit marker
+      _MANIFEST.json       # n_buckets, key, salt_turns: the bucketing
+                           # a resume must repeat
+      bucket=00013/        # one rename of bucket=00013.tmp-<pid>/
+        part.parquet
+        _lineage.json      # rows, error_rows, key range, char metrics
+                           # (G5 analog), wall seconds, content hash
+        _SUCCESS           # commit marker
+
+`_commit` writes the part file, the metadata file and ``_SUCCESS``
+into a per-writer tmp directory, fsyncs it, and commits it with ONE
+directory rename: no committed name ever lacks its marker or
+metadata. A final-name directory with its metadata file and a part
+file is adopted (its marker restored if lost); any other is rewritten.
+The shard exports (state/shards.py) commit through it with
+``_meta.json``.
 
 Resume = re-run the same command: buckets with ``_SUCCESS`` are dropped
 from the input BEFORE the shuffle with a vectorized ``is_in`` filter, so
 finished work costs one pruned scan, not recomputation. Correct because
-the kernel is pure per-row (same input bucket -> same bytes).
-
-Bucketing is a stable content hash of the partition key (vectorized
-fixed-key siphash via relational.stable_bucket_series), NOT Python
-``hash()`` (which is salted per process) — so bucket membership is
-identical across runs and nodes.
+the kernel is pure per-row (same input bucket -> same bytes). Bucket
+membership is a fixed-key siphash of the key, NOT Python ``hash()``
+(salted per process), so it is identical across runs and nodes.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import re
+import shutil
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-
-def stable_bucket_array(keys: pa.Array, n_buckets: int) -> pa.Array:
-    """Vectorized stable bucketing (shared scheme with
-    relational.stable_bucket_series — deterministic across processes
-    for a given pandas version, recorded in the manifest contract)."""
-    from ..relational import stable_bucket_series
-    return pa.array(stable_bucket_series(keys.to_pandas(), n_buckets),
-                    pa.int32())
+_ROW_GROUP = 65536          # rows per parquet row group / write slice
+_HASH_CHUNK = 1 << 20       # bytes per content-hash read
+# helper columns the shard exports add, dropped before the write
+_PART, _ORDER = "__part", "__order"
 
 
 def add_bucket_column(batch: pa.Table, *, key: str, n_buckets: int,
                       salt_turns: int = 0) -> pa.Table:
-    """Bucket by key — or, with ``salt_turns`` > 0, by
-    (key, turn_idx // salt_turns): a mega-conversation then spreads
-    across many buckets so no single writer task holds more than
-    ~salt_turns of its rows (SURVEY.md §4 skew salting). Bucket remains
-    a pure row function, so resume semantics are unchanged."""
+    """Bucket by a stable content hash of key
+    (relational.stable_bucket_series — deterministic across processes
+    for a given pandas version, recorded in the manifest contract) —
+    or, with ``salt_turns`` > 0, of (key, turn_idx // salt_turns): a
+    mega-conversation then spreads across many buckets so no single
+    writer task holds more than ~salt_turns of its rows (SURVEY.md §4
+    skew salting). Bucket remains a pure row function, so resume
+    semantics are unchanged."""
+    from ..relational import stable_bucket_series
+    keys = batch.column(key).to_pandas()
     if salt_turns:
-        from ..relational import stable_bucket_series
-        keys = batch.column(key).to_pandas()
-        chunk = (batch.column("turn_idx").to_pandas() // salt_turns)
-        col = pa.array(stable_bucket_series(
-            keys.astype(str) + "#" + chunk.astype(str), n_buckets),
-            pa.int32())
-    else:
-        col = stable_bucket_array(batch.column(key).combine_chunks(),
-                                  n_buckets)
-    return batch.append_column("bucket", col)
+        chunk = batch.column("turn_idx").to_pandas() // salt_turns
+        keys = keys.astype(str) + "#" + chunk.astype(str)
+    return batch.append_column("bucket", pa.array(
+        stable_bucket_series(keys, n_buckets), pa.int32()))
+
+
+def _holds(pdir: str, name: str) -> bool:
+    """Whether partition directory ``pdir`` holds ``name`` and a
+    parquet part file."""
+    try:
+        names = os.listdir(pdir)
+    except OSError:
+        return False
+    return name in names and any(n.endswith(".parquet") for n in names)
 
 
 def completed_buckets(out_dir: str, prefix: str = "bucket") -> List[int]:
     """Ids of the committed ``<prefix>=NNNNN`` partitions under
-    ``out_dir`` (those holding ``_SUCCESS``). Only names of the form the
-    writers produce count, so a writer's leftover
-    ``<prefix>=NNNNN.tmp-<pid>`` directory is never taken for one."""
+    ``out_dir`` (those holding ``_SUCCESS`` and a parquet part file).
+    Only names of the form the writers produce count, so a writer's
+    leftover ``<prefix>=NNNNN.tmp-<pid>`` directory is never taken for
+    one."""
     if not os.path.isdir(out_dir):
         return []
     name_re = re.compile(re.escape(prefix) + r"=(\d{5,})")
     return sorted(
         int(m.group(1)) for m in map(name_re.fullmatch, os.listdir(out_dir))
-        if m and os.path.exists(os.path.join(out_dir, m.group(0),
-                                             "_SUCCESS")))
+        if m and _holds(os.path.join(out_dir, m.group(0)), "_SUCCESS"))
 
 
 def fsync_path(path: str) -> None:
@@ -114,38 +128,133 @@ def write_json_atomic(path: str, obj, **dump_kwargs) -> None:
     fsync_path(os.path.dirname(path) or ".")
 
 
+# ------------------------------------------------------ the commit protocol
+
+def _resume_layout(path: str, identity: dict,
+                   derive: Optional[Callable[[], dict]] = None) -> dict:
+    """The directory's recorded layout. A first run records
+    ``identity`` plus what ``derive()`` computes from the data (sampled
+    boundaries); a re-run must request the same identity and reuses the
+    recorded derivation, so a resume can never re-partition."""
+    if os.path.exists(path):
+        with open(path) as f:
+            layout = json.load(f)
+        recorded = {k: layout.get(k) for k in identity}
+        if recorded != identity:
+            raise ValueError(f"resume mismatch: directory has {recorded}, "
+                             f"requested {identity}")
+        return layout
+    layout = {**identity, **(derive() if derive else {})}
+    write_json_atomic(path, layout)
+    return layout
+
+
+def _resume_partitions(out_dir: str, prefix: str) -> List[int]:
+    """Ids of the committed partitions a re-run skips, after removing
+    the ``<prefix>=NNNNN.tmp-<pid>`` directories of writers that died
+    before their rename (no committed rows a glob may find)."""
+    for name in os.listdir(out_dir):
+        if name.startswith(f"{prefix}=") and ".tmp-" in name:
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+    return completed_buckets(out_dir, prefix)
+
+
+def _read_meta(pdir: str, meta_file: str = "_meta.json") -> dict:
+    with open(os.path.join(pdir, meta_file)) as f:
+        return json.load(f)
+
+
+def _adopt(pdir: str, meta_file: str) -> Optional[dict]:
+    """The metadata of an already committed partition directory, its
+    ``_SUCCESS`` marker restored if lost. None when ``pdir`` is absent
+    or no whole commit (an older writer died mid-write, or the part
+    file was lost); such a directory is removed, to be rewritten."""
+    try:
+        meta = _read_meta(pdir, meta_file) if _holds(pdir, meta_file) \
+            else None
+    except ValueError:              # torn by an older, non-atomic writer
+        meta = None
+    if meta is None:
+        shutil.rmtree(pdir, ignore_errors=True)
+    elif not os.path.exists(os.path.join(pdir, "_SUCCESS")):
+        open(os.path.join(pdir, "_SUCCESS"), "w").close()
+        fsync_tree(pdir)
+    return meta
+
+
+def _commit(g: pd.DataFrame, out_dir: str, prefix: str,
+            sort_by: List[str], fields: Callable, *,
+            meta_file: str = "_meta.json", part_col: str = _PART) -> dict:
+    """Write one partition (the rows of ``g``, all with one
+    ``part_col`` value) and commit it with one directory rename;
+    returns its metadata: ``{prefix: id, "rows": n, **fields(rows,
+    content_hash)}``, stored as ``meta_file``."""
+    pid = int(g[part_col].iloc[0])
+    sdir = os.path.join(out_dir, f"{prefix}={pid:05d}")
+    # an earlier (crashed-after-rename or speculatively retried) task
+    # already committed this partition — the rename IS the commit
+    meta = _adopt(sdir, meta_file)
+    if meta is not None:
+        return meta
+    g = (g.sort_values(sort_by, kind="mergesort")
+         .drop(columns=[c for c in (part_col, _ORDER) if c in g])
+         .reset_index(drop=True))
+    # unique tmp dir per writer so concurrent retries never collide;
+    # only the rename below is the commit point
+    tmp = f"{sdir}.tmp-{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    ppath = os.path.join(tmp, "part.parquet")
+    table = pa.Table.from_pandas(g, preserve_index=False)
+    with pq.ParquetWriter(ppath, table.schema) as w:
+        for i in range(0, max(len(g), 1), _ROW_GROUP):
+            w.write_table(table.slice(i, _ROW_GROUP))
+    # content identity = the parquet bytes themselves (the sort above
+    # makes them partitioning-invariant), hashed streaming
+    hasher = hashlib.blake2b(digest_size=16)
+    with open(ppath, "rb") as f:
+        for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
+            hasher.update(chunk)
+    meta = {prefix: pid, "rows": int(len(g)),
+            **fields(g, hasher.hexdigest())}
+    with open(os.path.join(tmp, meta_file), "w") as f:
+        json.dump(meta, f)
+    open(os.path.join(tmp, "_SUCCESS"), "w").close()
+    fsync_tree(tmp)
+    try:
+        os.rename(tmp, sdir)             # the one atomic commit
+    except OSError:
+        # another writer committed first; keep its partition
+        shutil.rmtree(tmp, ignore_errors=True)
+        return _read_meta(sdir, meta_file)
+    fsync_path(out_dir)
+    return meta
+
+
+# ------------------------------------------------------ the checkpointed write
+
 def _write_bucket(group: pd.DataFrame, out_dir: str) -> pd.DataFrame:
-    """map_groups body: write one bucket atomically + lineage sidecar."""
+    """map_groups body: commit one bucket with its lineage sidecar."""
     t0 = time.monotonic()
-    bucket = int(group["bucket"].iloc[0])
-    bdir = os.path.join(out_dir, f"bucket={bucket:05d}")
-    os.makedirs(bdir, exist_ok=True)
 
-    body = group.drop(columns=["bucket"]).sort_values(["conv_id", "turn_idx"])
-    tmp = os.path.join(bdir, ".part.tmp.parquet")
-    final = os.path.join(bdir, f"part-{bucket:05d}.parquet")
-    pq.write_table(pa.Table.from_pandas(body, preserve_index=False), tmp)
-    os.replace(tmp, final)  # atomic commit of the data file
+    def lineage(body: pd.DataFrame, content_hash: str) -> dict:
+        return {
+            "error_rows": int(body["metadata_json"].str.contains(
+                '"error":', regex=False).sum())
+            if "metadata_json" in body else 0,
+            "conversations": int(body["conv_id"].nunique()),
+            "conv_id_min": str(body["conv_id"].min()),
+            "conv_id_max": str(body["conv_id"].max()),
+            # G5 char-count metrics analog (A002_header_footer_2_col.py:334-340)
+            "chars_extracted": int(body["extracted_text"].str.len().sum())
+            if "extracted_text" in body else None,
+            "wall_seconds": round(time.monotonic() - t0, 4),
+            "content_hash": content_hash,
+        }
 
-    error_rows = int(body["metadata_json"].str.contains(
-        '"error":', regex=False).sum()) if "metadata_json" in body else 0
-    lineage = {
-        "bucket": bucket,
-        "rows": int(len(body)),
-        "error_rows": error_rows,
-        "conversations": int(body["conv_id"].nunique()),
-        "conv_id_min": str(body["conv_id"].min()),
-        "conv_id_max": str(body["conv_id"].max()),
-        # G5 char-count metrics analog (A002_header_footer_2_col.py:334-340)
-        "chars_extracted": int(body["extracted_text"].str.len().sum())
-        if "extracted_text" in body else None,
-        "wall_seconds": round(time.monotonic() - t0, 4),
-    }
-    with open(os.path.join(bdir, "_lineage.json"), "w") as f:
-        json.dump(lineage, f, sort_keys=True)
-    with open(os.path.join(bdir, "_SUCCESS"), "w") as f:
-        f.write("")
-    return pd.DataFrame([lineage])
+    return pd.DataFrame([_commit(
+        group, out_dir, "bucket", ["conv_id", "turn_idx"], lineage,
+        meta_file="_lineage.json", part_col="bucket")])
 
 
 def checkpointed_write(ds, out_dir: str, *, key: str = "conv_id",
@@ -160,22 +269,10 @@ def checkpointed_write(ds, out_dir: str, *, key: str = "conv_id",
     the manifest so a resume can't silently re-bucket.
     """
     os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "_MANIFEST.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        if (manifest["n_buckets"] != n_buckets or manifest["key"] != key
-                or manifest.get("salt_turns", 0) != salt_turns):
-            raise ValueError(
-                f"resume mismatch: manifest has n_buckets="
-                f"{manifest['n_buckets']} key={manifest['key']!r} "
-                f"salt_turns={manifest.get('salt_turns', 0)}")
-    else:
-        with open(manifest_path, "w") as f:
-            json.dump({"n_buckets": n_buckets, "key": key,
-                       "salt_turns": salt_turns}, f)
-
-    done = completed_buckets(out_dir)
+    _resume_layout(os.path.join(out_dir, "_MANIFEST.json"),
+                   {"n_buckets": n_buckets, "key": key,
+                    "salt_turns": salt_turns})
+    done = _resume_partitions(out_dir, "bucket")
 
     bucketed = ds.map_batches(add_bucket_column, batch_format="pyarrow",
                               fn_kwargs={"key": key, "n_buckets": n_buckets,
@@ -186,17 +283,12 @@ def checkpointed_write(ds, out_dir: str, *, key: str = "conv_id",
             lambda t: t.filter(pc.invert(pc.is_in(t["bucket"], value_set=done_arr))),
             batch_format="pyarrow")
 
-    import functools
     writer = functools.partial(_write_bucket, out_dir=out_dir)
-    metrics_ds = bucketed.groupby("bucket").map_groups(
-        writer, batch_format="pandas")
-    metrics = metrics_ds.to_pandas()  # one row per bucket: small
-    return metrics
+    return bucketed.groupby("bucket").map_groups(  # one row per bucket
+        writer, batch_format="pandas").to_pandas()
 
 
 def read_lineage(out_dir: str) -> pd.DataFrame:
-    rows = []
-    for b in completed_buckets(out_dir):
-        with open(os.path.join(out_dir, f"bucket={b:05d}", "_lineage.json")) as f:
-            rows.append(json.load(f))
-    return pd.DataFrame(rows)
+    return pd.DataFrame([_read_meta(os.path.join(out_dir, f"bucket={b:05d}"),
+                                    "_lineage.json")
+                         for b in completed_buckets(out_dir)])

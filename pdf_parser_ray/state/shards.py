@@ -1,8 +1,8 @@
 """Deterministic partitioned exports — the terminal op of a data
 pipeline: parquet partitions a trainer or a reader can stream, with a
-manifest. Four writers share one commit protocol (`_export`) and
-differ only in how a row picks its partition, how a partition is
-sorted and what its manifest records:
+manifest. Four writers share one export (`_export`) and differ only
+in how a row picks its partition, how a partition is sorted and what
+its manifest records:
 
 * `write_training_shards` — HASH shards of a key column. Membership
   and within-shard order depend only on the key, so the export is
@@ -17,47 +17,31 @@ sorted and what its manifest records:
 * `write_bucketed_export` — hash BUCKETS of a join key, for the
   storage-partitioned join.
 
-Commit protocol: one directory per partition, committed by ONE
-directory rename. The part file, `_meta.json` and the `_SUCCESS`
-marker are written and fsynced INSIDE a per-writer tmp directory, so
-the rename itself is the full commit — there is no window where a
-committed partition lacks its marker. (state/checkpoint.py differs:
-it replaces the data file first and writes the marker after.) A
-layout file records how rows were partitioned; a re-run with the same
-layout skips committed partitions, any other is refused. Part parquet
-is written in bounded row-group slices and the content hash is taken
-over the parquet bytes — no whole-partition text round-trip.
+Each partition is committed by the state layer's one partition commit
+(`state.checkpoint._commit`: one directory rename, `_meta.json` and
+`_SUCCESS` inside). A layout file records how rows were partitioned; a
+re-run with the same layout skips committed partitions, any other is
+refused. The content hash is taken over the parquet bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import shutil
 from typing import Callable, List, Optional
 
 import numpy as np
 import pandas as pd
 
-from .checkpoint import (completed_buckets, fsync_path, fsync_tree,
+from .checkpoint import (_ORDER, _PART, _commit, _read_meta,
+                         _resume_layout, _resume_partitions,
                          write_json_atomic)
-
-_ROW_GROUP = 65536          # rows per parquet row group / write slice
-_HASH_CHUNK = 1 << 20       # bytes per content-hash read
-# helper columns added by `_export`, dropped before the write
-_PART, _ORDER = "__part", "__order"
 
 
 def _shard_hash(s: pd.Series) -> np.ndarray:
     """Deterministic 64-bit hash of the key column (fixed-key siphash
     via pandas, identical across processes)."""
     return pd.util.hash_pandas_object(s, index=False).to_numpy()
-
-
-def _read_meta(sdir: str) -> dict:
-    with open(os.path.join(sdir, "_meta.json")) as f:
-        return json.load(f)
 
 
 def _range_scalar(v):
@@ -103,87 +87,13 @@ def _key_bounds(s: pd.Series) -> tuple:
     return _range_scalar(key.min()), _range_scalar(key.max())
 
 
-# ------------------------------------------------------ the commit protocol
-
-def _resume_layout(path: str, identity: dict,
-                   derive: Optional[Callable[[], dict]]) -> dict:
-    """The directory's recorded layout. A first run records
-    ``identity`` plus what ``derive()`` computes from the data (sampled
-    boundaries); a re-run must request the same identity and reuses the
-    recorded derivation, so a resume can never re-partition."""
-    if os.path.exists(path):
-        with open(path) as f:
-            layout = json.load(f)
-        recorded = {k: layout.get(k) for k in identity}
-        if recorded != identity:
-            raise ValueError(f"resume mismatch: directory has {recorded}, "
-                             f"requested {identity}")
-        return layout
-    layout = {**identity, **(derive() if derive else {})}
-    write_json_atomic(path, layout)
-    return layout
-
-
-def _commit(g: pd.DataFrame, out_dir: str, prefix: str,
-            sort_by: List[str], fields: Callable) -> dict:
-    """Write one partition and commit it with one directory rename;
-    returns its `_meta.json` content."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pid = int(g[_PART].iloc[0])
-    sdir = os.path.join(out_dir, f"{prefix}={pid:05d}")
-    if os.path.exists(os.path.join(sdir, "_meta.json")):
-        # an earlier (crashed-after-rename or speculatively retried)
-        # task already committed this partition — the rename IS the
-        # commit, so adopt its manifest row
-        return _read_meta(sdir)
-    g = (g.sort_values(sort_by, kind="mergesort")
-         .drop(columns=[c for c in (_PART, _ORDER) if c in g])
-         .reset_index(drop=True))
-    # unique tmp dir per writer so concurrent retries never collide;
-    # only the rename below is the commit point
-    tmp = f"{sdir}.tmp-{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
-    ppath = os.path.join(tmp, "part.parquet")
-    schema = pa.Schema.from_pandas(g, preserve_index=False)
-    with pq.ParquetWriter(ppath, schema) as w:
-        for i in range(0, max(len(g), 1), _ROW_GROUP):
-            w.write_table(pa.Table.from_pandas(
-                g.iloc[i:i + _ROW_GROUP], schema=schema,
-                preserve_index=False))
-    # content identity = the parquet bytes themselves (the sort above
-    # makes them partitioning-invariant), hashed streaming
-    hasher = hashlib.blake2b(digest_size=16)
-    with open(ppath, "rb") as f:
-        for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
-            hasher.update(chunk)
-    meta = {prefix: pid, "rows": int(len(g)),
-            **fields(g, hasher.hexdigest())}
-    with open(os.path.join(tmp, "_meta.json"), "w") as f:
-        json.dump(meta, f)
-    open(os.path.join(tmp, "_SUCCESS"), "w").close()
-    fsync_tree(tmp)
-    try:
-        os.rename(tmp, sdir)             # the one atomic commit
-    except OSError:
-        # another writer committed first; keep its partition
-        shutil.rmtree(tmp, ignore_errors=True)
-        return _read_meta(sdir)
-    fsync_path(out_dir)
-    return meta
-
-
-def _content_hash_only(g: pd.DataFrame, content_hash: str) -> dict:
-    return {"content_hash": content_hash}
-
+# ------------------------------------------------------ the shared export
 
 def _export(ds, out_dir: str, *, shared_fs: bool, layout_file: str,
             identity: dict, prefix: str, assign: Callable,
             sort_by: List[str], manifest: Callable,
             derive: Optional[Callable[[], dict]] = None,
-            fields: Callable = _content_hash_only,
+            fields: Callable = lambda g, h: {"content_hash": h},
             n_buckets: Optional[int] = None) -> pd.DataFrame:
     """Export ``ds`` as committed ``<prefix>=NNNNN/`` partitions.
 
@@ -210,12 +120,7 @@ def _export(ds, out_dir: str, *, shared_fs: bool, layout_file: str,
     os.makedirs(out_dir, exist_ok=True)
     layout = _resume_layout(os.path.join(out_dir, layout_file), identity,
                             derive)
-    # a writer that died before its rename left a tmp dir; it holds no
-    # committed rows, and a glob over <prefix>=*/ must not find it
-    for name in os.listdir(out_dir):
-        if name.startswith(f"{prefix}=") and ".tmp-" in name:
-            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
-    done = completed_buckets(out_dir, prefix)
+    done = _resume_partitions(out_dir, prefix)
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         part, order = assign(b, layout)
@@ -329,7 +234,8 @@ def write_sorted_export(ds, out_dir: str, *, sort_col: str,
 
     return _export(ds, out_dir, shared_fs=shared_fs,
                    layout_file="_SORTED.json",
-                   identity={"n_ranges": K, "sort_col": sort_col},
+                   identity={"n_ranges": K, "sort_col": sort_col,
+                             "tiebreak_cols": list(tiebreak_cols or [])},
                    derive=derive, prefix="range", assign=assign,
                    sort_by=[sort_col, *(tiebreak_cols or [])],
                    fields=fields, n_buckets=K,
@@ -521,7 +427,8 @@ def write_zorder_export(ds, out_dir: str, *, cols: List[str],
 
     return _export(ds, out_dir, shared_fs=shared_fs,
                    layout_file="_ZORDER.json",
-                   identity={"n_ranges": K, "cols": list(cols)},
+                   identity={"n_ranges": K, "cols": list(cols),
+                             "tiebreak_cols": list(tiebreak_cols or [])},
                    derive=derive, prefix="range", assign=assign,
                    sort_by=[_ORDER, *cols, *(tiebreak_cols or [])],
                    fields=fields, n_buckets=K,
@@ -572,14 +479,18 @@ def write_bucketed_export(ds, out_dir: str, *, key: str,
         h = _shard_hash(b[key])
         return (h % np.uint64(n_buckets)).astype("int32"), None
 
+    # what `read_bucketed_join` compares; the layout file adds the
+    # tie-break columns a resume must repeat
+    join_layout = {"key": key, "n_buckets": int(n_buckets),
+                   "hash": "pandas-siphash-v1"}
     return _export(ds, out_dir, shared_fs=shared_fs,
                    layout_file="_BUCKETED.json",
-                   identity={"key": key, "n_buckets": int(n_buckets),
-                             "hash": "pandas-siphash-v1"},
+                   identity={**join_layout,
+                             "tiebreak_cols": list(tiebreak_cols or [])},
                    prefix="bucket", assign=assign,
                    sort_by=[key, *(tiebreak_cols or [])],
                    n_buckets=n_buckets,
-                   manifest=lambda layout, metas: {**layout,
+                   manifest=lambda layout, metas: {**join_layout,
                                                    "buckets": metas})
 
 

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import pandas as pd
 
-from .checkpoint import fsync_tree, write_json_atomic
+from .checkpoint import completed_buckets, fsync_tree, write_json_atomic
 
 _REGISTRY = "_WAVES.json"
 _WAVE_META = "_WAVE.json"
@@ -279,12 +279,8 @@ def _wave_bucket_paths(out_dir: str, waves: List[dict]) -> List[str]:
     paths: List[str] = []
     for w in waves:
         wdir = os.path.join(out_dir, f"wave={w['wave']:05d}")
-        for b in sorted(os.listdir(wdir)):
-            if not b.startswith("bucket="):
-                continue
-            bdir = os.path.join(wdir, b)
-            if not os.path.exists(os.path.join(bdir, "_SUCCESS")):
-                continue
+        for b in completed_buckets(wdir):
+            bdir = os.path.join(wdir, f"bucket={b:05d}")
             paths.extend(sorted(
                 os.path.join(bdir, f) for f in os.listdir(bdir)
                 if f.endswith(".parquet")))

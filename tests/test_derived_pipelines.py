@@ -159,6 +159,95 @@ def test_checkpoint_salted_buckets(ray_session, tmp_path):
         checkpointed_write(ds, out, n_buckets=8)
 
 
+def _readback_keys_unique(out, total):
+    import pyarrow.dataset as pds
+    back = pds.dataset(out, format="parquet").to_table().to_pandas()
+    return len(back) == total and not back.duplicated(
+        ["conv_id", "turn_idx"]).any()
+
+
+def test_checkpoint_sweeps_dead_writer_tmp(extracted, tmp_path):
+    """A writer that died after filling its tmp directory (marker
+    included) but before the rename: the re-run removes the tmp name,
+    so a readback of the directory holds every key once."""
+    from pdf_parser_ray.state.checkpoint import checkpointed_write
+    ds, _ = extracted
+    out = str(tmp_path / "ckpt")
+    total = int(checkpointed_write(ds, out, n_buckets=4)["rows"].sum())
+    stale = os.path.join(out, "bucket=00001.tmp-99999")
+    shutil.copytree(os.path.join(out, "bucket=00001"), stale)
+    assert os.path.exists(os.path.join(stale, "_SUCCESS"))
+    checkpointed_write(ds, out, n_buckets=4)
+    assert not os.path.exists(stale)
+    assert _readback_keys_unique(out, total)
+
+
+def test_checkpoint_commit_cases(extracted, tmp_path):
+    """Each bucket is one rename-committed directory: a re-run rewrites
+    a bucket that is no whole commit (the older writer's format, a lost
+    part file) and adopts one that only lost its marker, restoring
+    it — and touches no other bucket's part file."""
+    from pdf_parser_ray.state.checkpoint import (checkpointed_write,
+                                                 completed_buckets,
+                                                 read_lineage)
+    ds, _ = extracted
+    out = str(tmp_path / "ckpt")
+    man_path = os.path.join(out, "_MANIFEST.json")
+    m1 = checkpointed_write(ds, out, n_buckets=4)
+    assert sorted(m1["bucket"]) == [0, 1, 2, 3]
+    total = int(m1["rows"].sum())
+    # the manifest bytes are those the older writer produced
+    with open(man_path, "rb") as f:
+        assert f.read() == (b'{"n_buckets": 4, "key": "conv_id", '
+                            b'"salt_turns": 0}')
+    bdir = {b: os.path.join(out, f"bucket={b:05d}") for b in range(4)}
+
+    def stamps():
+        return {b: (st.st_ino, st.st_mtime_ns) for b, d in bdir.items()
+                if os.path.exists(os.path.join(d, "part.parquet"))
+                for st in [os.stat(os.path.join(d, "part.parquet"))]}
+
+    def rerun(rewritten, returned):
+        before = stamps()
+        m = checkpointed_write(ds, out, n_buckets=4)
+        assert (sorted(m["bucket"]) if len(m) else []) == returned
+        assert completed_buckets(out) == [0, 1, 2, 3]
+        for d in bdir.values():
+            assert sorted(os.listdir(d)) == [
+                "_SUCCESS", "_lineage.json", "part.parquet"]
+        after = stamps()
+        assert {b for b in after if after[b] != before.get(b)} == rewritten
+        assert int(read_lineage(out)["rows"].sum()) == total
+        assert _readback_keys_unique(out, total)
+
+    # the older writer died between its data rename and its lineage
+    # write: part-NNNNN.parquet, no _lineage.json, no _SUCCESS
+    os.rename(os.path.join(bdir[2], "part.parquet"),
+              os.path.join(bdir[2], "part-00002.parquet"))
+    for name in ("_lineage.json", "_SUCCESS"):
+        os.remove(os.path.join(bdir[2], name))
+    rerun({2}, [2])
+
+    # part file and marker deleted: rewritten
+    for name in ("part.parquet", "_SUCCESS"):
+        os.remove(os.path.join(bdir[3], name))
+    rerun({3}, [3])
+
+    # only the part file deleted: not committed, so rewritten
+    os.remove(os.path.join(bdir[0], "part.parquet"))
+    rerun({0}, [0])
+
+    # only the marker missing: adopted as it is, marker restored
+    os.remove(os.path.join(bdir[1], "_SUCCESS"))
+    rerun(set(), [1])
+
+    # a manifest without salt_turns is refused, not read as unsalted
+    with open(man_path, "w") as f:
+        json.dump({"n_buckets": 4, "key": "conv_id"}, f)
+    with pytest.raises(ValueError, match="resume mismatch"):
+        checkpointed_write(ds, out, n_buckets=4)
+
+
 def test_run_extraction_from_parquet(ray_session, tmp_path):
     """Production entry: extract an existing transcript parquet dir;
     result must equal extracting the same rows in-memory."""

@@ -50,15 +50,17 @@ _WRITERS = {
     "write_sorted_export": (
         lambda: _ev(1500), "range",
         {"sort_col": "ts", "tiebreak_cols": ["event_id"], "n_ranges": 6},
-        [{"n_ranges": 4}, {"sort_col": "value"}]),
+        [{"n_ranges": 4}, {"sort_col": "value"},
+         {"tiebreak_cols": ["value"]}]),
     "write_zorder_export": (
         _zorder_frame, "range",
         {"cols": ["a", "b"], "tiebreak_cols": ["rid"], "n_ranges": 8},
-        [{"n_ranges": 16}, {"cols": ["b", "a"]}]),
+        [{"n_ranges": 16}, {"cols": ["b", "a"]},
+         {"tiebreak_cols": []}]),
     "write_bucketed_export": (
         _zorder_frame, "bucket",
         {"key": "a", "n_buckets": 8, "tiebreak_cols": ["rid"]},
-        [{"n_buckets": 4}, {"key": "b"}]),
+        [{"n_buckets": 4}, {"key": "b"}, {"tiebreak_cols": ["b", "rid"]}]),
 }
 
 
@@ -80,6 +82,7 @@ def test_export_commit_protocol(ray_session, tmp_path, writer):
     import pyarrow.dataset as pds
     import ray.data as rd
     from pdf_parser_ray.state import shards
+    from pdf_parser_ray.state.checkpoint import completed_buckets
     frame, prefix, kwargs, layout_changes = _WRITERS[writer]
     df = frame()
 
@@ -120,9 +123,10 @@ def test_export_commit_protocol(ray_session, tmp_path, writer):
     rerun_unchanged({ids[1], ids[-2]})
 
     # a committed partition that lost its _SUCCESS marker is adopted,
-    # not rewritten and not a crash
+    # not rewritten and not a crash, and its marker is restored
     os.remove(os.path.join(out, part[ids[2]], "_SUCCESS"))
     rerun_unchanged(set())
+    assert ids[2] in completed_buckets(out, prefix)
 
     # a writer that died after writing _SUCCESS into its tmp dir but
     # before the rename: the re-run ignores the tmp name, removes it and
@@ -228,7 +232,8 @@ def test_shards_multi_row_group_streaming(ray_session, tmp_path):
     parquet bytes, which the deterministic sort fixes)."""
     import pyarrow.parquet as pq
     import ray.data as rd
-    from pdf_parser_ray.state.shards import _ROW_GROUP, write_training_shards
+    from pdf_parser_ray.state.checkpoint import _ROW_GROUP
+    from pdf_parser_ray.state.shards import write_training_shards
     df = pd.DataFrame({"doc_id": np.arange(70_000, dtype=np.int64)})
     assert len(df) > _ROW_GROUP
     out1 = str(tmp_path / "a")
