@@ -6,7 +6,7 @@ order -> M14 normalize (SURVEY.md §2.2) — the whole chain stays inside
 one Arrow batch, so per-turn intermediates (block lists) never hit the
 object store.
 
-Two paths inside ``extract_batch``, merged back in input order:
+Three paths inside ``extract_batch``, merged back in input order:
 
 - **Whole-batch layout path.** Turns whose tool parses as layout
   (``kernel.LAYOUT_TOOLS``) and whose strategy is a002/a003/a004 run as
@@ -17,9 +17,16 @@ Two paths inside ``extract_batch``, merged back in input order:
   a003/a004 footer keyword tests run in Python, on the bottom-zone
   candidates (their ``str.lower`` / ``str.isdigit`` rules differ from
   Arrow's ``utf8_lower`` / ``utf8_is_digit``).
+- **Whole-batch plain path.** A non-null turn whose tool is neither
+  layout nor ``html``, under a002/a003/a004, is one block covering the
+  default page (``kernel.plain_text_page``): the separator is W/2, the
+  block's center is not left of it and sits in no header or footer
+  zone, so its whole text lands in ``right_column``. That text is the
+  per-line trim of the payload, joined by ``"\\n"`` and trimmed again
+  (``normalize_text_field(text.strip())``), in Arrow kernels.
 - **Per-turn path** (``kernel.extract_turn``) for everything else:
-  html, a000, plain text, null text, ``#CORRUPT``, and any layout turn
-  with a line whose fate the batch path cannot decide — a
+  html, a000, custom strategies, null text, ``#CORRUPT``, and any
+  layout turn with a line whose fate the batch path cannot decide — a
   ``#PAGE``/``#VLINE``/``#RECT`` directive whose numbers are not ASCII
   ``BATCH_NUM``, or a record line (3+ pipes) whose coordinates or font
   size are neither ``BATCH_NUM`` nor certain to fail ``float()``.
@@ -233,6 +240,32 @@ def _layout_turns(text: pa.Array, strat: np.ndarray):
     return fallback, cols
 
 
+def _plain_turns(text: pa.Array, strat: np.ndarray) -> Dict[str, pa.Array]:
+    """The whole-batch plain path over ``text`` (large_string, no
+    nulls) with strategy codes ``strat``: kernel.plain_text_page's one
+    block spans the default page, so the separator is W/2, no block is
+    header or footer, and the normalized text is the right column.
+    Returns the output columns in order."""
+    n = len(text)
+    lines = pc.split_pattern(text, "\n")
+    trimmed = pc.utf8_trim_whitespace(pc.list_flatten(lines))
+    right = pc.utf8_trim_whitespace(pc.binary_join(
+        pa.ListArray.from_arrays(lines.offsets, trimmed), _lit("\n")))
+    n_blocks = _np(pc.greater(pc.binary_length(right), 0)).astype(np.int64)
+    counts = np.zeros((n, 4), np.int64)
+    counts[:, _RIGHT] = n_blocks
+    width = np.full(n, DEFAULT_PAGE_WIDTH)
+    height = np.full(n, DEFAULT_PAGE_HEIGHT)
+    empty = pa.repeat(_lit(""), n)
+    zero = np.zeros(n, np.int64)
+    return {"header": empty, "footer": empty, "left_column": empty,
+            "right_column": right, "extracted_text": right,
+            "page_width": pa.array(width), "page_height": pa.array(height),
+            "column_separator_position": pa.array(width / 2),
+            "metadata_json": _metadata_json(strat, width, height, n_blocks,
+                                            counts, zero, zero)}
+
+
 def _separators(width, bt, x0, x1, vline_t, vline) -> np.ndarray:
     """kernel.find_column_separator per turn, given its vertical lines.
     The scan over range(int(0.3W), int(0.7W), 10) is a closed form: the
@@ -401,9 +434,9 @@ def extract_batch(batch: pa.Table,
                   registry: Optional[Dict[str, str]] = None) -> pa.Table:
     """Pure batch body: one output row per input row, in input order.
     The keys and the tool pass through as Arrow columns (turn_idx
-    narrowed to int32, a null tool filled with ""). Layout turns run on
-    the whole-batch path; the rest cross into Python for the per-turn
-    kernel."""
+    narrowed to int32, a null tool filled with ""). Layout and plain
+    turns run on the whole-batch paths; the rest cross into Python for
+    the per-turn kernel."""
     reg = TOOL_STRATEGY_MAP if registry is None else registry
     conv_id = pc.cast(batch.column("conv_id"), pa.string())
     turn_idx = pc.cast(batch.column("turn_idx"), pa.int32())
@@ -416,15 +449,20 @@ def extract_batch(batch: pa.Table,
     # strategy per row, looked up once per distinct tool
     tools = pc.unique(tool).to_pylist()
     names = [reg.get(t, DEFAULT_STRATEGY) for t in tools]
-    code = np.array([BATCH_STRATEGIES.index(s) if t in LAYOUT_TOOLS
+    code = np.array([BATCH_STRATEGIES.index(s) if t != "html"
                      and s in BATCH_STRATEGIES else -1
                      for t, s in zip(tools, names)], np.int8)
+    is_layout = np.array([t in LAYOUT_TOOLS for t in tools], bool)
     tool_of = _np(pc.index_in(tool, pa.array(tools, pa.string())))
     strat = code[tool_of]
+    is_layout = is_layout[tool_of]
 
-    layout = np.flatnonzero((strat >= 0) & _np(text.is_valid()))
+    batch = (strat >= 0) & _np(text.is_valid())
+    layout = np.flatnonzero(batch & is_layout)
+    plain = np.flatnonzero(batch & ~is_layout)
     fallback, cols = _layout_turns(text.take(layout), strat[layout])
-    batch_rows = layout[~fallback]
+    plain_cols = _plain_turns(text.take(plain), strat[plain])
+    batch_rows = np.r_[layout[~fallback], plain]
     per_turn = np.setdiff1d(np.arange(n), batch_rows)
 
     recs = [extract_turn(t, tools[i], ti, names[i]) for t, i, ti in zip(
@@ -437,6 +475,6 @@ def extract_batch(batch: pa.Table,
     for name in OUTPUT_FIELDS[1:]:
         per_turn_col = pa.array([r[name] for r in recs],
                                 EXTRACTED_SCHEMA.field(name).type)
-        out.append(pa.concat_arrays([cols[name], per_turn_col])
-                   .take(position))
+        out.append(pa.concat_arrays([cols[name], plain_cols[name],
+                                     per_turn_col]).take(position))
     return pa.Table.from_arrays(out, schema=EXTRACTED_SCHEMA)

@@ -13,13 +13,19 @@ job must not restart from zero. Layout::
                            # (G5 analog), wall seconds, content hash
         _SUCCESS           # commit marker
 
-`_commit` writes the part file, the metadata file and ``_SUCCESS``
+`_commit` takes one partition as an Arrow table in its final row
+order and writes the part file, the metadata file and ``_SUCCESS``
 into a per-writer tmp directory, fsyncs it, and commits it with ONE
 directory rename: no committed name ever lacks its marker or
 metadata. A final-name directory with its metadata file and a part
 file is adopted (its marker restored if lost); any other is rewritten.
 The shard exports (state/shards.py) commit through it with
-``_meta.json``.
+``_meta.json``, after their pandas sort.
+
+The bucket writer never leaves Arrow: ``map_groups`` hands each bucket
+over as a ``pyarrow`` table, ``pc.sort_indices`` orders it on
+(conv_id, turn_idx) (stable, as pandas' mergesort), Arrow compute
+kernels fill the lineage, and the task returns it as JSON text.
 
 Resume = re-run the same command: buckets with ``_SUCCESS`` are dropped
 from the input BEFORE the shuffle with a vectorized ``is_in`` filter, so
@@ -47,20 +53,25 @@ import pyarrow.parquet as pq
 
 _ROW_GROUP = 65536          # rows per parquet row group / write slice
 _HASH_CHUNK = 1 << 20       # bytes per content-hash read
-# helper columns the shard exports add, dropped before the write
-_PART, _ORDER = "__part", "__order"
 
 
 def add_bucket_column(batch: pa.Table, *, key: str, n_buckets: int,
                       salt_turns: int = 0) -> pa.Table:
     """Bucket by a stable content hash of key
     (relational.stable_bucket_series — deterministic across processes
-    for a given pandas version, recorded in the manifest contract) —
-    or, with ``salt_turns`` > 0, of (key, turn_idx // salt_turns): a
-    mega-conversation then spreads across many buckets so no single
-    writer task holds more than ~salt_turns of its rows (SURVEY.md §4
-    skew salting). Bucket remains a pure row function, so resume
-    semantics are unchanged."""
+    for a given pandas version) — or, with ``salt_turns`` > 0, of
+    (key, turn_idx // salt_turns): a mega-conversation then spreads
+    across many buckets so no single writer task holds more than
+    ~salt_turns of its rows (SURVEY.md §4 skew salting). Bucket remains
+    a pure row function, so resume semantics are unchanged.
+
+    The hash is pinned by golden bucket ids in the tests, so a pandas
+    upgrade that moves them fails there instead of silently
+    re-bucketing a resume. ``_MANIFEST.json`` does not record a
+    ``hash_scheme`` yet: the benchmark's checkpoint check requires the
+    manifest to hold exactly ``{n_buckets, key, salt_turns}``, so the
+    key waits for the engine-owned hash and a benchmark change that
+    admits it."""
     from ..relational import stable_bucket_series
     keys = batch.column(key).to_pandas()
     if salt_turns:
@@ -182,41 +193,46 @@ def _adopt(pdir: str, meta_file: str) -> Optional[dict]:
     return meta
 
 
-def _commit(g: pd.DataFrame, out_dir: str, prefix: str,
-            sort_by: List[str], fields: Callable, *,
-            meta_file: str = "_meta.json", part_col: str = _PART) -> dict:
-    """Write one partition (the rows of ``g``, all with one
-    ``part_col`` value) and commit it with one directory rename;
-    returns its metadata: ``{prefix: id, "rows": n, **fields(rows,
-    content_hash)}``, stored as ``meta_file``."""
-    pid = int(g[part_col].iloc[0])
+def _narrow(schema: pa.Schema) -> pa.Schema:
+    """``schema`` with large string and binary types narrowed, as a
+    pandas round trip writes them: every part file of a directory
+    keeps one schema, whichever writer produced it."""
+    narrow = {pa.large_string(): pa.string(), pa.large_binary(): pa.binary()}
+    return pa.schema([f.with_type(narrow.get(f.type, f.type))
+                      for f in schema], metadata=schema.metadata)
+
+
+def _commit(table: pa.Table, out_dir: str, prefix: str, pid: int,
+            fields: Callable[[str], dict], *,
+            meta_file: str = "_meta.json") -> dict:
+    """Write partition ``pid`` (``table``, already in its final row
+    order) and commit it with one directory rename; returns its
+    metadata: ``{prefix: pid, "rows": n, **fields(content_hash)}``,
+    stored as ``meta_file``."""
     sdir = os.path.join(out_dir, f"{prefix}={pid:05d}")
     # an earlier (crashed-after-rename or speculatively retried) task
     # already committed this partition — the rename IS the commit
     meta = _adopt(sdir, meta_file)
     if meta is not None:
         return meta
-    g = (g.sort_values(sort_by, kind="mergesort")
-         .drop(columns=[c for c in (part_col, _ORDER) if c in g])
-         .reset_index(drop=True))
     # unique tmp dir per writer so concurrent retries never collide;
     # only the rename below is the commit point
     tmp = f"{sdir}.tmp-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
     ppath = os.path.join(tmp, "part.parquet")
-    table = pa.Table.from_pandas(g, preserve_index=False)
-    with pq.ParquetWriter(ppath, table.schema) as w:
-        for i in range(0, max(len(g), 1), _ROW_GROUP):
-            w.write_table(table.slice(i, _ROW_GROUP))
-    # content identity = the parquet bytes themselves (the sort above
-    # makes them partitioning-invariant), hashed streaming
+    schema = _narrow(table.schema)
+    with pq.ParquetWriter(ppath, schema) as w:
+        for i in range(0, max(table.num_rows, 1), _ROW_GROUP):
+            w.write_table(table.slice(i, _ROW_GROUP).cast(schema))
+    # content identity = the parquet bytes themselves (the caller's
+    # sort makes them partitioning-invariant), hashed streaming
     hasher = hashlib.blake2b(digest_size=16)
     with open(ppath, "rb") as f:
         for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
             hasher.update(chunk)
-    meta = {prefix: pid, "rows": int(len(g)),
-            **fields(g, hasher.hexdigest())}
+    meta = {prefix: pid, "rows": table.num_rows,
+            **fields(hasher.hexdigest())}
     with open(os.path.join(tmp, meta_file), "w") as f:
         json.dump(meta, f)
     open(os.path.join(tmp, "_SUCCESS"), "w").close()
@@ -233,28 +249,45 @@ def _commit(g: pd.DataFrame, out_dir: str, prefix: str,
 
 # ------------------------------------------------------ the checkpointed write
 
-def _write_bucket(group: pd.DataFrame, out_dir: str) -> pd.DataFrame:
-    """map_groups body: commit one bucket with its lineage sidecar."""
-    t0 = time.monotonic()
+#: the per-bucket lineage, in ``_lineage.json`` key order
+_LINEAGE_COLUMNS = ("bucket", "rows", "error_rows", "conversations",
+                   "conv_id_min", "conv_id_max", "chars_extracted",
+                   "wall_seconds", "content_hash")
 
-    def lineage(body: pd.DataFrame, content_hash: str) -> dict:
+
+def _write_bucket(group: pa.Table, out_dir: str) -> pa.Table:
+    """map_groups body: commit one bucket, sorted on (conv_id,
+    turn_idx), with its lineage sidecar; returns the lineage as JSON
+    text."""
+    t0 = time.monotonic()
+    pid = group.column("bucket")[0].as_py()
+    body = group.drop_columns(["bucket"])
+    body = body.take(pc.sort_indices(body, sort_keys=[
+        ("conv_id", "ascending"), ("turn_idx", "ascending")]))
+    cols = body.column_names
+
+    def lineage(content_hash: str) -> dict:
+        conv_min, conv_max = (
+            "nan" if v is None else str(v)           # pandas' empty min
+            for v in pc.min_max(body["conv_id"]).values())
         return {
-            "error_rows": int(body["metadata_json"].str.contains(
-                '"error":', regex=False).sum())
-            if "metadata_json" in body else 0,
-            "conversations": int(body["conv_id"].nunique()),
-            "conv_id_min": str(body["conv_id"].min()),
-            "conv_id_max": str(body["conv_id"].max()),
+            "error_rows": pc.sum(pc.match_substring(
+                body["metadata_json"], '"error":'), min_count=0).as_py()
+            if "metadata_json" in cols else 0,
+            "conversations": pc.count_distinct(body["conv_id"]).as_py(),
+            "conv_id_min": conv_min,
+            "conv_id_max": conv_max,
             # G5 char-count metrics analog (A002_header_footer_2_col.py:334-340)
-            "chars_extracted": int(body["extracted_text"].str.len().sum())
-            if "extracted_text" in body else None,
+            "chars_extracted": pc.sum(pc.utf8_length(
+                body["extracted_text"]), min_count=0).as_py()
+            if "extracted_text" in cols else None,
             "wall_seconds": round(time.monotonic() - t0, 4),
             "content_hash": content_hash,
         }
 
-    return pd.DataFrame([_commit(
-        group, out_dir, "bucket", ["conv_id", "turn_idx"], lineage,
-        meta_file="_lineage.json", part_col="bucket")])
+    meta = _commit(body, out_dir, "bucket", pid, lineage,
+                   meta_file="_lineage.json")
+    return pa.table({"lineage": pa.array([json.dumps(meta)], pa.string())})
 
 
 def checkpointed_write(ds, out_dir: str, *, key: str = "conv_id",
@@ -284,8 +317,13 @@ def checkpointed_write(ds, out_dir: str, *, key: str = "conv_id",
             batch_format="pyarrow")
 
     writer = functools.partial(_write_bucket, out_dir=out_dir)
-    return bucketed.groupby("bucket").map_groups(  # one row per bucket
-        writer, batch_format="pandas").to_pandas()
+    written = bucketed.groupby("bucket").map_groups(  # one row per bucket
+        writer, batch_format="pyarrow").to_pandas()
+    metas = sorted((json.loads(m) for m in written.get("lineage", [])),
+                   key=lambda m: m["bucket"])
+    # typed columns even when every bucket was already committed
+    return pd.DataFrame(metas, columns=list(_LINEAGE_COLUMNS)).astype(
+        dict.fromkeys(_LINEAGE_COLUMNS[:4], "int64"))
 
 
 def read_lineage(out_dir: str) -> pd.DataFrame:

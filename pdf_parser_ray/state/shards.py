@@ -32,10 +32,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-from .checkpoint import (_ORDER, _PART, _commit, _read_meta,
-                         _resume_layout, _resume_partitions,
-                         write_json_atomic)
+from .checkpoint import (_commit, _read_meta, _resume_layout,
+                         _resume_partitions, write_json_atomic)
+
+# helper columns the exports add, dropped before the write
+_PART, _ORDER = "__part", "__order"
 
 
 def _shard_hash(s: pd.Series) -> np.ndarray:
@@ -134,10 +137,18 @@ def _export(ds, out_dir: str, *, shared_fs: bool, layout_file: str,
     # the bucketed combine (partition count chosen ≫ nodes bounds skew
     # the same way the checkpoint writer does); each task RETURNS its
     # `_meta.json` as JSON text, so no value changes type on the way
+    def commit(p: pd.DataFrame) -> dict:
+        rows = (p.sort_values(sort_by, kind="mergesort")
+                .drop(columns=[c for c in (_PART, _ORDER) if c in p])
+                .reset_index(drop=True))
+        return _commit(pa.Table.from_pandas(rows, preserve_index=False),
+                       out_dir, prefix, int(p[_PART].iloc[0]),
+                       lambda content_hash: fields(rows, content_hash))
+
     def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"meta": pd.Series(
-            [json.dumps(_commit(p, out_dir, prefix, sort_by, fields))
-             for _, p in g.groupby(_PART, sort=False)], dtype=object)})
+            [json.dumps(commit(p)) for _, p in g.groupby(_PART, sort=False)],
+            dtype=object)})
 
     tagged = ds.map_batches(tag, batch_format="pandas")
     written = bucketed_map_groups(tagged, [_PART], run_bucket,

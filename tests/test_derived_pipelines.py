@@ -248,6 +248,21 @@ def test_checkpoint_commit_cases(extracted, tmp_path):
         checkpointed_write(ds, out, n_buckets=4)
 
 
+def test_rerun_with_every_bucket_committed_returns_lineage_columns(
+        ray_session, tmp_path):
+    from pdf_parser_ray.pipelines.extraction import run_extraction
+    from pdf_parser_ray.state.checkpoint import _LINEAGE_COLUMNS
+    out = str(tmp_path / "ckpt")
+    first = run_extraction(SF_DIR, out, n_buckets=8)
+    assert tuple(first.columns) == _LINEAGE_COLUMNS
+    assert first["bucket"].tolist() == list(range(8))
+    again = run_extraction(SF_DIR, out, n_buckets=8)
+    assert len(again) == 0
+    assert tuple(again.columns) == _LINEAGE_COLUMNS
+    assert again[["bucket", "rows", "error_rows"]].sum().tolist() == [0] * 3
+    assert (again.dtypes[list(_LINEAGE_COLUMNS[:4])] == "int64").all()
+
+
 def test_run_extraction_from_parquet(ray_session, tmp_path):
     """Production entry: extract an existing transcript parquet dir;
     result must equal extracting the same rows in-memory."""

@@ -3,11 +3,12 @@ must match the independent reference-shaped oracle byte-for-byte."""
 
 import hypothesis.strategies as st
 import pyarrow as pa
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from pdf_parser_ray.kernel import extract_turn
 from pdf_parser_ray.stages import extract
-from tests.reference_oracle import oracle_extract_turn
+from tests.reference_oracle import OracleExtractor, oracle_extract_turn
 
 _SETTINGS = dict(max_examples=150, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -178,7 +179,7 @@ def test_extract_batch_empty_and_no_layout_batches():
             ("plain", ""), (None, "pdf_layout"), ("#CORRUPT", "vision"),
             ("40,150,280,162|11|T|x", "layoutlm")]
     out, per_turn = extract_counting(transcript(rows))
-    assert per_turn == len(rows)
+    assert per_turn == 4                 # all but the plain turn
     for (text, tool), got in zip(rows, out.to_pylist()):
         assert {k: got[k] for k in extract.OUTPUT_FIELDS} == \
             oracle_extract_turn(text, tool, got["turn_idx"])
@@ -199,18 +200,46 @@ def test_records_float_must_reject_stay_on_the_batch_path():
 
 def test_forced_strategy_keeps_html_on_the_per_turn_path():
     """compare_strategies forces a strategy onto every tool: html under
-    a003 still takes the per-turn path; pdf_layout under a003 takes the
-    batch path."""
+    a003 still takes the per-turn path; pdf_layout and plain text under
+    a003 take the batch paths."""
     html = ("<html><body><header>Top</header><main><div><p>a</p></div>"
             "<div><p>b</p></div></main><footer>page 3</footer>"
             "</body></html>")
     rows = [(html, "html"), _CLEAN, ("plain words", "")]
     forced = {tool: "a003" for _, tool in rows}
     out, per_turn = extract_counting(transcript(rows), forced)
-    assert per_turn == 2
+    assert per_turn == 1
     for (text, tool), got in zip(rows, out.to_pylist()):
         assert {k: got[k] for k in extract.OUTPUT_FIELDS} == \
             extract_turn(text, tool, got["turn_idx"], "a003")
+
+
+#: what ``str.strip`` takes beyond ASCII spaces, tabs and newlines
+_PLAIN_SPACE = "\r \x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2002\u2028\u3000"
+plain_line = st.one_of(
+    st.text(alphabet=_PLAIN_SPACE + "\t", max_size=4),
+    st.sampled_from(["#CORRUPT", "#PAGE 612,792", "40,150,280,162|11|T|x",
+                     "a | b", "|||", "#"]),
+    st.text(alphabet=st.characters(
+        whitelist_categories=("Lu", "Ll", "Nd"),
+        whitelist_characters=_PLAIN_SPACE + "\t|#,.中🚀"), max_size=24))
+plain_texts = st.lists(plain_line, max_size=8).map("\n".join)
+
+
+@pytest.mark.parametrize("strategy", extract.BATCH_STRATEGIES)
+@settings(**_SETTINGS)
+@given(rows=st.lists(st.tuples(plain_texts, st.sampled_from(
+    ["", "unknown_tool", None])), min_size=1, max_size=8))
+def test_plain_turns_on_the_batch_path_equal_oracle(strategy, rows):
+    """Plain turns never cross into the per-turn kernel under a forced
+    a002/a003/a004, and equal the oracle's whole-page block."""
+    forced = {tool or "": strategy for _, tool in rows}
+    out, per_turn = extract_counting(transcript(rows), forced)
+    assert per_turn == 0
+    for (text, tool), got in zip(rows, out.to_pylist()):
+        want = OracleExtractor(strategy).extract_page_layout(
+            text, tool or "", got["turn_idx"])
+        assert {k: got[k] for k in want} == want, (text, tool)
 
 
 def test_compare_strategies_a003_on_html_matches_per_turn(ray_session):
@@ -227,7 +256,6 @@ def test_compare_strategies_a003_on_html_matches_per_turn(ray_session):
 
 
 def test_page_number_overflow_fails_loudly():
-    import pytest
     t = transcript([_CLEAN]).set_column(
         1, "turn_idx", pa.array([2**31 - 1], pa.int64()))
     with pytest.raises(pa.ArrowInvalid, match="overflow"):
