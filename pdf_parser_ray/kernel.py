@@ -44,13 +44,15 @@ read-only reference at /root/reference):
                 footer last)
 
 This is the per-turn path, scalar Python: one turn in, one record out.
-The extraction stage (stages/extract.py) runs most layout turns
-(a002/a003/a004) as whole Arrow batches instead and calls
-``extract_turn`` only for the rest: html, a000, plain text, null text,
-``#CORRUPT`` and layout turns with a line its number check cannot
-decide. The batch path reuses this module's constants, ``round2`` and
-the footer text predicates, and must produce the same records; the
-per-turn path stays the reference the batch path is tested against.
+The extraction stage (stages/extract.py) runs layout, html and plain
+turns under every built-in strategy (a000/a002/a003/a004) as whole Arrow
+batches instead and calls ``extract_turn`` only for what its batch
+grammar cannot decide: null text, custom strategies, ``#CORRUPT``, html
+payloads its tokenizer refuses and layout turns with a line its number
+check cannot decide. The batch path reuses this module's constants,
+``round2`` and the footer text predicates, and must produce the same
+records; the per-turn path stays the reference the batch path is tested
+against.
 """
 
 from __future__ import annotations

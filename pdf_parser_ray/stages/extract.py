@@ -8,25 +8,35 @@ object store.
 
 Three paths inside ``extract_batch``, merged back in input order:
 
-- **Whole-batch layout path.** Turns whose tool parses as layout
-  (``kernel.LAYOUT_TOOLS``) and whose strategy is a002/a003/a004 run as
-  columns over the whole batch: Arrow string kernels split, trim and
-  check the payload lines, numpy does the separator (a closed form),
-  the classify masks and the reading order (two stable lexsorts), and
-  Arrow joins build the region strings and the metadata JSON. Only the
-  a003/a004 footer keyword tests run in Python, on the bottom-zone
-  candidates (their ``str.lower`` / ``str.isdigit`` rules differ from
-  Arrow's ``utf8_lower`` / ``utf8_is_digit``).
+- **Whole-batch block chain.** Layout turns (``kernel.LAYOUT_TOOLS``)
+  and ``html`` turns under any built-in strategy run as columns over the
+  whole batch, in two stages:
+
+  - a *parse stage* per payload family emits ``_Pages``: per-block
+    columns (turn, text, x0, y0, x1, y1), per-turn page size, and the
+    vlines and rects. Layout payloads are split, trimmed and checked by
+    Arrow string kernels; html payloads go through the RE2 tokenizer
+    ``html_parse.html_block_columns``, which places its lines on the
+    same synthetic geometry as ``html_parse.parse_html_payload``.
+  - a *strategy stage* (``_chain``) over those columns, whatever parsed
+    them: numpy does the separator (a closed form of each strategy's
+    scan), the classify masks and the reading order (stable lexsorts;
+    a000's overlap line grouping is a segmented running max), and Arrow
+    joins build the region strings and the metadata JSON. Only the
+    a003/a004 footer keyword tests run in Python, on the bottom-zone
+    candidates (their ``str.lower`` / ``str.isdigit`` rules differ from
+    Arrow's ``utf8_lower`` / ``utf8_is_digit``).
 - **Whole-batch plain path.** A non-null turn whose tool is neither
-  layout nor ``html``, under a002/a003/a004, is one block covering the
-  default page (``kernel.plain_text_page``): the separator is W/2, the
-  block's center is not left of it and sits in no header or footer
-  zone, so its whole text lands in ``right_column``. That text is the
-  per-line trim of the payload, joined by ``"\\n"`` and trimmed again
+  layout nor ``html`` is one block covering the default page
+  (``kernel.plain_text_page``): every built-in strategy puts it at W/2,
+  in no header or footer zone, so its whole text lands in
+  ``right_column``. That text is the per-line trim of the payload,
+  joined by ``"\\n"`` and trimmed again
   (``normalize_text_field(text.strip())``), in Arrow kernels.
-- **Per-turn path** (``kernel.extract_turn``) for everything else:
-  html, a000, custom strategies, null text, ``#CORRUPT``, and any
-  layout turn with a line whose fate the batch path cannot decide — a
+- **Per-turn path** (``kernel.extract_turn``) only for what the batch
+  grammar cannot decide: null text, custom strategies, ``#CORRUPT``,
+  an html payload the tokenizer refuses, and any layout turn with a
+  line whose fate the batch parse cannot decide — a
   ``#PAGE``/``#VLINE``/``#RECT`` directive whose numbers are not ASCII
   ``BATCH_NUM``, or a record line (3+ pipes) whose coordinates or font
   size are neither ``BATCH_NUM`` nor certain to fail ``float()``.
@@ -42,12 +52,13 @@ them for free and per-batch setup cost is zero. Used as::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import html_parse
 from ..kernel import (DEFAULT_PAGE_HEIGHT, DEFAULT_PAGE_WIDTH, LAYOUT_TOOLS,
                       OUTPUT_FIELDS, round2, extract_turn,
                       is_footer_text_a003, is_footer_text_a004)
@@ -73,12 +84,15 @@ EXTRACTED_SCHEMA = pa.schema([
     ("metadata_json", pa.large_string()),
 ])
 
-#: strategies the whole-batch layout path runs; a turn's code is its
-#: index here
+#: the strategies that classify around the shared separator; a turn's
+#: code is its index here, and a000 (the model-stub flow) is code 3
 BATCH_STRATEGIES = ("a002", "a003", "a004")
-_A002, _A003, _A004 = range(3)
+_A002, _A003, _A004, _A000 = range(4)
+_CODES = BATCH_STRATEGIES + ("a000",)
 #: region codes, in ``kernel._REGIONS`` order
 _HEADER, _FOOTER, _LEFT, _RIGHT = range(4)
+#: payload families: how a tool's text is parsed
+_LAYOUT, _HTML, _PLAIN = range(3)
 
 #: ``kernel.NUM`` in ASCII digits, at most 15 before the point: every
 #: value the batch path casts is finite and below 1e15, so the separator
@@ -101,6 +115,23 @@ _NEVER_FLOAT = "".join(
     f"\\x{c:02x}" for c in range(128)
     if not (chr(c).isspace() or chr(c) in "0123456789+-._aefintyAEFINTY,|"))
 _SKIPPED_RE = rf"^(?:[^|]*\|)?[^|]*[{_NEVER_FLOAT}]"
+
+
+class _Pages(NamedTuple):
+    """Parsed pages as columns, the parse stage's output. Blocks are
+    grouped by turn, in page order."""
+    width: np.ndarray     # per turn
+    height: np.ndarray
+    bt: np.ndarray        # per block: its turn
+    x0: np.ndarray
+    y0: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    text: pa.Array        # large_string
+    vline_t: np.ndarray   # per #VLINE: its turn, and (x0, y0, x1, y1)
+    vline: np.ndarray
+    rect_t: np.ndarray    # per #RECT: its turn, and (bbox, r, g, b)
+    rect: np.ndarray
 
 
 def _lit(s: str) -> pa.Scalar:
@@ -144,10 +175,26 @@ def _join_runs(values: pa.Array, starts: np.ndarray, n: int,
                           _lit(sep))
 
 
-def _layout_turns(text: pa.Array, strat: np.ndarray):
-    """The whole-batch layout path over ``text`` (large_string, no
-    nulls) with strategy codes ``strat``. Returns (fallback mask over
-    the turns, output columns of the other turns in order)."""
+def _merge(mask: np.ndarray, when_false: pa.Array,
+           when_true: pa.Array) -> pa.Array:
+    """Rows of ``when_true`` where ``mask`` holds, of ``when_false``
+    elsewhere, each given in order over its own rows."""
+    if not mask.any():
+        return when_false
+    order = np.r_[np.flatnonzero(~mask), np.flatnonzero(mask)]
+    position = np.empty(mask.size, np.int64)
+    position[order] = np.arange(mask.size)
+    return pa.concat_arrays([when_false, when_true]).take(position)
+
+
+# ---------------------------------------------------------------------------
+# Parse stage: one parser per payload family, all emitting _Pages
+# ---------------------------------------------------------------------------
+
+def _parse_layout(text: pa.Array):
+    """``kernel.parse_layout_payload`` over ``text`` (large_string, no
+    nulls). Returns (fallback mask over the turns, _Pages of the other
+    turns, renumbered 0..n-1)."""
     n_turns = len(text)
     lines = pc.split_pattern(text, "\n")
     line_turn = pc.list_parent_indices(lines).to_numpy()
@@ -184,7 +231,6 @@ def _layout_turns(text: pa.Array, strat: np.ndarray):
     owned = ~fallback
     renum = np.cumsum(owned) - 1
     n = int(owned.sum())
-    strat = strat[owned]
     (page_t, page), (vline_t, vline), (rect_t, rect) = [
         (renum[turns[ok & owned[turns]]],
          _numbers(lines.filter(pa.array(ok & owned[turns])), prefix, count))
@@ -208,44 +254,90 @@ def _layout_turns(text: pa.Array, strat: np.ndarray):
     block_text = block_text.filter(nonempty)
     nonempty = _np(nonempty)
     coords = coords.to_numpy().reshape(-1, 4)[nonempty]
-    bt = rec_turn[nonempty]
     x0, y0, x1, y1 = coords.T
-    n_blocks = np.bincount(bt, minlength=n)
+    return fallback, _Pages(width, height, rec_turn[nonempty], x0, y0, x1,
+                            y1, block_text, vline_t, vline, rect_t, rect)
 
-    # kernel.detect_vertical_lines / detect_colored_footer_rects as masks
-    vertical = ((np.abs(vline[:, 2] - vline[:, 0]) < 5)
-                & (np.abs(vline[:, 3] - vline[:, 1]) > 100))
+
+def _parse_html(text: pa.Array):
+    """``html_parse.parse_html_payload`` over ``text`` (large_string, no
+    nulls): (refused mask over the turns, _Pages of the others)."""
+    refused, bt, x0, y0, x1, y1, block_text = \
+        html_parse.html_block_columns(text)
+    n = int((~refused).sum())
+    return refused, _Pages(
+        np.full(n, html_parse.PAGE_W), np.full(n, html_parse.PAGE_H),
+        bt, x0, y0, x1, y1, block_text, np.arange(n),
+        np.tile(html_parse.SEPARATOR_VLINE, (n, 1)),
+        np.zeros(0, np.int64), np.zeros((0, 7)))
+
+
+def _concat_pages(*pages: _Pages) -> _Pages:
+    """The pages of each argument in turn, renumbered."""
+    if len(pages) == 1:
+        return pages[0]
+    first = np.cumsum([0] + [p.width.size for p in pages])
+    return _Pages(*[
+        pa.concat_arrays(cols) if name == "text" else np.concatenate(
+            [c + k for c, k in zip(cols, first)]
+            if name in ("bt", "vline_t", "rect_t") else cols)
+        for name, cols in zip(_Pages._fields, zip(*pages))])
+
+
+# ---------------------------------------------------------------------------
+# Strategy stage: one chain over the block columns
+# ---------------------------------------------------------------------------
+
+def _chain(strat: np.ndarray, p: _Pages) -> Dict[str, pa.Array]:
+    """The built-in strategies over parsed pages, with strategy codes
+    ``strat`` per turn. Returns the output columns in turn order."""
+    n = len(strat)
+    a000 = strat == _A000
+    n_blocks = np.bincount(p.bt, minlength=n)
+
+    # kernel.detect_vertical_lines(_a000) / detect_colored_footer_rects
+    # as masks: a000's thresholds are relative to the page
+    w, h = p.width[p.vline_t], p.height[p.vline_t]
+    dx = np.abs(p.vline[:, 2] - p.vline[:, 0])
+    dy = np.abs(p.vline[:, 3] - p.vline[:, 1])
+    vertical = np.where(a000[p.vline_t], (dx < w * 0.01) & (dy > h * 0.2),
+                        (dx < 5) & (dy > 100))
+    rect = p.rect
     nonwhite = ~((rect[:, 4] == 1.0) & (rect[:, 5] == 1.0)
                  & (rect[:, 6] == 1.0))
-    footer_rect = nonwhite & (rect[:, 1] > height[rect_t] * 0.5)
+    footer_rect = nonwhite & (rect[:, 1] > p.height[p.rect_t] * 0.5)
 
-    separator = _separators(width, bt, x0, x1, vline_t[vertical],
-                            vline[vertical])
-    region = _classify(strat, height, separator, bt, x0, y0, x1, y1,
-                       block_text, rect_t[footer_rect], rect[footer_rect])
-    counts = np.bincount(bt * 4 + region, minlength=4 * n).reshape(n, 4)
-    regions = _reading_order(n, bt, region, x0, y0, y1, block_text)
+    separator, top, bottom = _separators(
+        a000, p.width, p.bt, p.x0, p.x1, p.vline_t[vertical],
+        p.vline[vertical])
+    region = _classify(strat, p.height, separator, top, bottom, p.bt, p.x0,
+                       p.y0, p.x1, p.y1, p.text, p.rect_t[footer_rect],
+                       rect[footer_rect])
+    counts = np.bincount(p.bt * 4 + region, minlength=4 * n).reshape(n, 4)
+    regions = _reading_order(n, a000, p.bt, region, p.x0, p.y0, p.y1,
+                             p.text)
 
-    n_vertical = np.bincount(vline_t[vertical], minlength=n)
-    n_colored = np.bincount(rect_t[nonwhite], minlength=n)
     cols = dict(zip(("header", "footer", "left_column", "right_column"),
                     regions))
     cols["extracted_text"] = _assemble(regions, counts)
     cols["metadata_json"] = _metadata_json(
-        strat, width, height, n_blocks, counts, n_vertical, n_colored)
-    for name, values in (("page_width", width), ("page_height", height),
+        strat, p.width, p.height, n_blocks, counts,
+        np.bincount(p.vline_t[vertical], minlength=n),
+        np.bincount(p.rect_t[nonwhite], minlength=n), top, bottom)
+    for name, values in (("page_width", p.width), ("page_height", p.height),
                          ("column_separator_position", separator)):
         rounded, inv = _per_unique(values, round2)
         cols[name] = pa.array(np.asarray(rounded, np.float64)[inv])
-    return fallback, cols
+    return cols
 
 
 def _plain_turns(text: pa.Array, strat: np.ndarray) -> Dict[str, pa.Array]:
     """The whole-batch plain path over ``text`` (large_string, no
     nulls) with strategy codes ``strat``: kernel.plain_text_page's one
-    block spans the default page, so the separator is W/2, no block is
-    header or footer, and the normalized text is the right column.
-    Returns the output columns in order."""
+    block spans the default page, so every built-in strategy puts the
+    separator at W/2, no block in a header or footer, and the
+    normalized text in the right column. Returns the output columns in
+    order."""
     n = len(text)
     lines = pc.split_pattern(text, "\n")
     trimmed = pc.utf8_trim_whitespace(pc.list_flatten(lines))
@@ -258,62 +350,104 @@ def _plain_turns(text: pa.Array, strat: np.ndarray) -> Dict[str, pa.Array]:
     height = np.full(n, DEFAULT_PAGE_HEIGHT)
     empty = pa.repeat(_lit(""), n)
     zero = np.zeros(n, np.int64)
+    none = np.full(n, np.nan)
     return {"header": empty, "footer": empty, "left_column": empty,
             "right_column": right, "extracted_text": right,
             "page_width": pa.array(width), "page_height": pa.array(height),
             "column_separator_position": pa.array(width / 2),
             "metadata_json": _metadata_json(strat, width, height, n_blocks,
-                                            counts, zero, zero)}
+                                            counts, zero, zero, none, none)}
 
 
-def _separators(width, bt, x0, x1, vline_t, vline) -> np.ndarray:
-    """kernel.find_column_separator per turn, given its vertical lines.
-    The scan over range(int(0.3W), int(0.7W), 10) is a closed form: the
-    first grid point above the turn's smallest x1, if it is below both
-    the grid's end and the turn's largest x0; else W/2."""
+def _separators(a000, width, bt, x0, x1, vline_t, vline) -> tuple:
+    """kernel.find_column_separator(_a000) per turn, given its vertical
+    lines: (separator, and the y0 and y1 of the line a000 took, NaN
+    where it took none)."""
     separator = width / 2
-    if bt.size:
-        starts = _run_starts(bt)
-        turns = bt[starts]
-        left_edge = np.minimum.reduceat(x1, starts)
-        right_edge = np.maximum.reduceat(x0, starts)
-        lo = np.trunc(width[turns] * 0.3).astype(np.int64)
-        hi = np.trunc(width[turns] * 0.7).astype(np.int64)
-        x = np.where(left_edge < lo, lo,
-                     lo + ((np.floor(left_edge).astype(np.int64) - lo) // 10
-                           + 1) * 10)
-        hit = (x < hi) & (x < right_edge)
-        separator[turns[hit]] = x[hit]
+    if a000.any():
+        on = a000[bt]
+        _scan(separator, width, bt[~on], x0[~on], x1[~on])
+        _scan_a000(separator, width, bt[on], (x0[on] + x1[on]) / 2)
+    else:
+        _scan(separator, width, bt, x0, x1)
 
-    # the longest vertical line near the center wins, first on ties
+    # the longest vertical line near the center wins, first on ties;
+    # "near" is within 0.3W (0.25W for a000)
     w = width[vline_t]
     mid = (vline[:, 0] + vline[:, 2]) / 2
-    near = np.abs(mid - w / 2) < w * 0.3
-    length = np.abs(vline[near, 3] - vline[near, 1])
+    length = np.abs(vline[:, 3] - vline[:, 1])
+    near = ((np.abs(mid - w / 2)
+             < np.where(a000[vline_t], w * 0.25, w * 0.3)) & (length > 0))
     turns = vline_t[near]
-    order = np.lexsort((np.arange(turns.size), -length, turns))
-    best = order[_run_starts(turns[order])]
-    separator[turns[best]] = mid[near][best]
-    return separator
+    order = np.lexsort((np.arange(turns.size), -length[near], turns))
+    best = np.flatnonzero(near)[order[_run_starts(turns[order])]]
+    separator[vline_t[best]] = mid[best]
+    top = np.full(width.size, np.nan)
+    bottom = top.copy()
+    best = best[a000[vline_t[best]]]
+    top[vline_t[best]] = vline[best, 1]
+    bottom[vline_t[best]] = vline[best, 3]
+    return separator, top, bottom
 
 
-def _classify(strat, height, separator, bt, x0, y0, x1, y1, block_text,
-              rect_t, rect) -> np.ndarray:
+def _grid_above(value, width, step) -> tuple:
+    """The first point of range(int(0.3W), ..., step) above ``value``,
+    and int(0.7W), per turn."""
+    lo = np.trunc(width * 0.3).astype(np.int64)
+    above = lo + ((np.floor(value).astype(np.int64) - lo) // step + 1) * step
+    return np.where(value < lo, lo, above), np.trunc(width * 0.7)
+
+
+def _scan(separator, width, bt, x0, x1) -> None:
+    """The a002-a004 scan over range(int(0.3W), int(0.7W), 10) as a
+    closed form: the first grid point above the turn's smallest x1, if
+    it is below both the grid's end and the turn's largest x0."""
+    if not bt.size:
+        return
+    starts = _run_starts(bt)
+    turns = bt[starts]
+    x, hi = _grid_above(np.minimum.reduceat(x1, starts), width[turns], 10)
+    hit = (x < hi) & (x < np.maximum.reduceat(x0, starts))
+    separator[turns[hit]] = x[hit]
+
+
+def _scan_a000(separator, width, bt, center) -> None:
+    """The a000 scan over range(int(0.3W), int(0.7W) + 1, 5) as a
+    closed form. A side holds more than 10% of a turn's n blocks once
+    it holds k = floor(0.1n) + 1 block centers, so the first grid point
+    that passes is the first one above the k-th smallest center, if the
+    k-th largest center is still above it."""
+    if not bt.size:
+        return
+    order = np.lexsort((center, bt))
+    center = center[order]
+    starts = _run_starts(bt[order])
+    turns = bt[order][starts]
+    count = np.diff(np.r_[starts, bt.size])
+    k = np.floor(count * 0.1).astype(np.int64) + 1
+    x, hi = _grid_above(center[starts + k - 1], width[turns], 5)
+    hit = (x <= hi) & (center[starts + count - k] > x)
+    separator[turns[hit]] = x[hit]
+
+
+def _classify(strat, height, separator, top, bottom, bt, x0, y0, x1, y1,
+              block_text, rect_t, rect) -> np.ndarray:
     """Region code per block: the threshold masks of kernel.classify_a002
-    / a003 / a004, with the footer text tests on bottom-zone candidates
-    only. ``rect_t``/``rect`` are the colored footer rects."""
+    / a003 / a004 / a000, with the footer text tests on bottom-zone
+    candidates only. ``rect_t``/``rect`` are the colored footer rects;
+    ``top``/``bottom`` the extent of the line a000 took (NaN: none)."""
     s = strat[bt]
     h = height[bt]
     cy = (y0 + y1) / 2
     cx = (x0 + x1) / 2
     header = cy < np.where(s == _A004, h * 0.10, h * 0.15)
-    bottom = cy > h * 0.95
+    bottom_zone = cy > h * 0.95
     footer = (s == _A002) & (cy > h * 0.9)
 
     # a003: colored rects in the bottom half hold footer blocks; the
     # bottom-zone texts of a turn, joined in page order, decide has_footer
     a003 = s == _A003
-    cand = np.flatnonzero(a003 & bottom)
+    cand = np.flatnonzero(a003 & bottom_zone)
     if cand.size:
         texts = block_text.take(cand).to_pylist()
         turns = bt[cand]
@@ -321,14 +455,23 @@ def _classify(strat, height, separator, bt, x0, y0, x1, y1, block_text,
         has_footer = np.zeros(len(strat), bool)
         for a, b in zip(starts, np.r_[starts[1:], cand.size]):
             has_footer[turns[a]] = is_footer_text_a003(texts[a:b])
-        footer |= a003 & bottom & has_footer[bt]
+        footer |= a003 & bottom_zone & has_footer[bt]
     footer |= a003 & _inside_any(bt, x0, y0, x1, y1, rect_t, rect,
                                  len(strat))
 
-    cand = np.flatnonzero((s == _A004) & ~header & bottom)
+    cand = np.flatnonzero((s == _A004) & ~header & bottom_zone)
     if cand.size:
         footer[cand] = [is_footer_text_a004(t)
                         for t in block_text.take(cand).to_pylist()]
+
+    # a000 tests the block's edges against the line's extent +-10, or
+    # else 0.15H / 0.90H
+    a000 = s == _A000
+    if a000.any():
+        t, b = top[bt], bottom[bt]
+        header = np.where(a000, y1 < np.where(np.isnan(t), h * 0.15, t + 10),
+                          header)
+        footer |= a000 & (y0 > np.where(np.isnan(b), h * 0.9, b - 10))
 
     left = cx < separator[bt]
     return np.where(header, _HEADER, np.where(
@@ -353,17 +496,26 @@ def _inside_any(bt, x0, y0, x1, y1, rect_t, rect, n_turns) -> np.ndarray:
     return inside
 
 
-def _reading_order(n, bt, region, x0, y0, y1, block_text) -> List[pa.Array]:
-    """kernel.blocks_to_text for every (turn, region) at once: a stable
-    sort on (y0, x0); a new line where adjacent midpoints differ by 10
-    or more; within a line a stable sort on x0; " " within lines, "\\n"
-    between them. Returns the four region columns."""
+def _reading_order(n, overlap, bt, region, x0, y0, y1,
+                   block_text) -> List[pa.Array]:
+    """kernel.blocks_to_text(_a000) for every (turn, region) at once: a
+    stable sort on (y0, x0); lines; within a line a stable sort on x0;
+    " " within lines, "\\n" between them. A new line starts where
+    adjacent midpoints differ by 10 or more, or on the turns marked in
+    ``overlap`` (a000) by ``_overlap_lines``. Returns the four region
+    columns."""
     group = bt * 4 + region
     first = np.lexsort((x0, y0, group))
     g = group[first]
     mid = ((y0 + y1) / 2)[first]
-    new_line = np.ones(g.size, bool)
-    new_line[1:] = (g[1:] != g[:-1]) | (np.abs(np.diff(mid)) >= 10)
+    new_group = np.ones(g.size, bool)
+    new_group[1:] = g[1:] != g[:-1]
+    new_line = new_group.copy()
+    new_line[1:] |= np.abs(np.diff(mid)) >= 10
+    if overlap.any():
+        on = np.flatnonzero(overlap[g // 4])
+        new_line[on] = _overlap_lines(new_group[on], y0[first][on],
+                                      y1[first][on])
     line = np.cumsum(new_line) - 1
     order = first[np.lexsort((x0[first], line))]
 
@@ -379,6 +531,26 @@ def _reading_order(n, bt, region, x0, y0, y1, block_text) -> List[pa.Array]:
     texts = pa.concat_arrays([texts, pa.array([""], pa.large_string())])
     slot = slot.reshape(n, 4)
     return [texts.take(slot[:, r]) for r in range(4)]
+
+
+def _overlap_lines(new_group, y0, y1) -> np.ndarray:
+    """A000's line starts over blocks sorted by (group, y0, x0): a block
+    joins the line while its y0 is below the line's largest y1 + 10;
+    the group's first line starts that largest y1 at -1.
+
+    The line's largest y1 may stand for the group's running max (with
+    the -1 floor), inverted boxes included: if a block lies below its
+    line's max + 10 but not below the running max + 10, that max came
+    from an earlier line, yet the current line's first block already
+    had a y0 at least 10 above it, and y0 only grows. So one
+    maximum.accumulate over int ranks offset per group decides it."""
+    group = np.cumsum(new_group) - 1
+    uniq, rank = np.unique(np.maximum(y1, -1.0), return_inverse=True)
+    offset = group * uniq.size
+    running = uniq[np.maximum.accumulate(rank + offset) - offset]
+    start = new_group.copy()
+    start[1:] |= y0[1:] >= running[:-1] + 10
+    return start
 
 
 def _assemble(regions, counts) -> pa.Array:
@@ -397,46 +569,69 @@ def _assemble(regions, counts) -> pa.Array:
 
 
 def _metadata_json(strat, width, height, n_blocks, counts, n_vertical,
-                   n_colored) -> pa.Array:
-    """kernel.canonical_metadata_json of the a002/a003/a004 metadata:
-    sorted keys, ints, ``true``/``false``, float reprs."""
+                   n_colored, top, bottom) -> pa.Array:
+    """kernel.canonical_metadata_json of the a002/a003/a004 and the a000
+    metadata: sorted keys, ints, ``true``/``false``, ``null``, float
+    reprs."""
     def ints(values):
         return pc.cast(pa.array(values, pa.int64()), pa.large_string())
 
-    def reprs(values):
-        text, inv = _per_unique(values, repr)
+    def reprs(values, fn=repr):
+        text, inv = _per_unique(values, fn)
         return pa.array(text, pa.large_string()).take(inv)
 
     null = pa.scalar(None, pa.large_string())
-    a003 = pa.array(strat == _A003)
-    has_footer = pa.array(counts[:, _FOOTER] > 0)
+    a000 = strat == _A000
+    s = ~a000 if a000.any() else slice(None)
+    a003 = pa.array(strat[s] == _A003)
+    has_footer = pa.array(counts[s, _FOOTER] > 0)
     colored = pc.if_else(a003, pc.binary_join_element_wise(
-        _lit('"colored_footer_regions": '), ints(n_colored), _lit(", "),
+        _lit('"colored_footer_regions": '), ints(n_colored[s]), _lit(", "),
         _lit("")), null)
     footer_flag = pc.if_else(
-        pa.array(strat == _A002), null,
+        pa.array(strat[s] == _A002), null,
         pc.if_else(has_footer, _lit(', "has_footer": true'),
                    _lit(', "has_footer": false')))
-    return pc.binary_join_element_wise(
+    a00x = pc.binary_join_element_wise(
         _lit("{"), colored,
-        _lit('"footer_blocks": '), ints(counts[:, _FOOTER]), footer_flag,
-        _lit(', "header_blocks": '), ints(counts[:, _HEADER]),
-        _lit(', "left_column_blocks": '), ints(counts[:, _LEFT]),
-        _lit(', "page_rect": [0.0, 0.0, '), reprs(width), _lit(", "),
-        reprs(height),
-        _lit('], "right_column_blocks": '), ints(counts[:, _RIGHT]),
-        _lit(', "total_text_blocks": '), ints(n_blocks),
-        _lit(', "vertical_lines_detected": '), ints(n_vertical), _lit("}"),
-        _lit(""), null_handling="skip")
+        _lit('"footer_blocks": '), ints(counts[s, _FOOTER]), footer_flag,
+        _lit(', "header_blocks": '), ints(counts[s, _HEADER]),
+        _lit(', "left_column_blocks": '), ints(counts[s, _LEFT]),
+        _lit(', "page_rect": [0.0, 0.0, '), reprs(width[s]), _lit(", "),
+        reprs(height[s]),
+        _lit('], "right_column_blocks": '), ints(counts[s, _RIGHT]),
+        _lit(', "total_text_blocks": '), ints(n_blocks[s]),
+        _lit(', "vertical_lines_detected": '), ints(n_vertical[s]),
+        _lit("}"), _lit(""), null_handling="skip")
+    if not a000.any():
+        return a00x
+
+    def boundary(values):     # NaN: no line
+        return reprs(values, lambda v: "null" if v != v else repr(v))
+
+    s = a000
+    a000_json = pc.binary_join_element_wise(
+        _lit('{"footer_blocks": '), ints(counts[s, _FOOTER]),
+        _lit(', "footer_y_boundary": '), boundary(bottom[s]),
+        _lit(', "header_blocks": '), ints(counts[s, _HEADER]),
+        _lit(', "header_y_boundary": '), boundary(top[s]),
+        _lit(', "left_column_blocks": '), ints(counts[s, _LEFT]),
+        _lit(', "page_rect": [0.0, 0.0, '), reprs(width[s]), _lit(", "),
+        reprs(height[s]),
+        _lit('], "right_column_blocks": '), ints(counts[s, _RIGHT]),
+        _lit(', "total_text_blocks_layoutlm": '), ints(n_blocks[s]),
+        _lit(', "vertical_lines_detected_count": '), ints(n_vertical[s]),
+        _lit("}"), _lit(""))
+    return _merge(a000, a00x, a000_json)
 
 
 def extract_batch(batch: pa.Table,
                   registry: Optional[Dict[str, str]] = None) -> pa.Table:
     """Pure batch body: one output row per input row, in input order.
     The keys and the tool pass through as Arrow columns (turn_idx
-    narrowed to int32, a null tool filled with ""). Layout and plain
-    turns run on the whole-batch paths; the rest cross into Python for
-    the per-turn kernel."""
+    narrowed to int32, a null tool filled with ""). Layout, html and
+    plain turns under the built-in strategies run on the whole-batch
+    paths; the rest cross into Python for the per-turn kernel."""
     reg = TOOL_STRATEGY_MAP if registry is None else registry
     conv_id = pc.cast(batch.column("conv_id"), pa.string())
     turn_idx = pc.cast(batch.column("turn_idx"), pa.int32())
@@ -446,23 +641,36 @@ def extract_batch(batch: pa.Table,
     text = pc.cast(batch.column("text"), pa.large_string()).combine_chunks()
     n = batch.num_rows
 
-    # strategy per row, looked up once per distinct tool
+    # strategy and payload family per row, looked up once per distinct
+    # tool
     tools = pc.unique(tool).to_pylist()
     names = [reg.get(t, DEFAULT_STRATEGY) for t in tools]
-    code = np.array([BATCH_STRATEGIES.index(s) if t != "html"
-                     and s in BATCH_STRATEGIES else -1
-                     for t, s in zip(tools, names)], np.int8)
-    is_layout = np.array([t in LAYOUT_TOOLS for t in tools], bool)
+    code = np.array([_CODES.index(s) if s in _CODES else -1 for s in names],
+                    np.int8)
+    family = np.array([_LAYOUT if t in LAYOUT_TOOLS else
+                       _HTML if t == "html" else _PLAIN for t in tools],
+                      np.int8)
     tool_of = _np(pc.index_in(tool, pa.array(tools, pa.string())))
     strat = code[tool_of]
-    is_layout = is_layout[tool_of]
+    family = family[tool_of]
 
     batch = (strat >= 0) & _np(text.is_valid())
-    layout = np.flatnonzero(batch & is_layout)
-    plain = np.flatnonzero(batch & ~is_layout)
-    fallback, cols = _layout_turns(text.take(layout), strat[layout])
-    plain_cols = _plain_turns(text.take(plain), strat[plain])
-    batch_rows = np.r_[layout[~fallback], plain]
+    layout, html, plain = (np.flatnonzero(batch & (family == f))
+                           for f in (_LAYOUT, _HTML, _PLAIN))
+    # one block chain over whatever the layout and html parsers decide
+    chain_rows, pages = [np.zeros(0, np.int64)], []
+    for rows, parse in ((layout, _parse_layout), (html, _parse_html)):
+        if rows.size:
+            undecided, parsed = parse(text.take(rows))
+            chain_rows.append(rows[~undecided])
+            pages.append(parsed)
+    chain_rows = np.concatenate(chain_rows)
+    parts = []
+    if chain_rows.size:
+        parts.append(_chain(strat[chain_rows], _concat_pages(*pages)))
+    if plain.size:
+        parts.append(_plain_turns(text.take(plain), strat[plain]))
+    batch_rows = np.r_[chain_rows, plain]
     per_turn = np.setdiff1d(np.arange(n), batch_rows)
 
     recs = [extract_turn(t, tools[i], ti, names[i]) for t, i, ti in zip(
@@ -475,6 +683,6 @@ def extract_batch(batch: pa.Table,
     for name in OUTPUT_FIELDS[1:]:
         per_turn_col = pa.array([r[name] for r in recs],
                                 EXTRACTED_SCHEMA.field(name).type)
-        out.append(pa.concat_arrays([cols[name], plain_cols[name],
-                                     per_turn_col]).take(position))
+        out.append(pa.concat_arrays([p[name] for p in parts]
+                                    + [per_turn_col]).take(position))
     return pa.Table.from_arrays(out, schema=EXTRACTED_SCHEMA)

@@ -179,7 +179,7 @@ def test_extract_batch_empty_and_no_layout_batches():
             ("plain", ""), (None, "pdf_layout"), ("#CORRUPT", "vision"),
             ("40,150,280,162|11|T|x", "layoutlm")]
     out, per_turn = extract_counting(transcript(rows))
-    assert per_turn == 4                 # all but the plain turn
+    assert per_turn == 2                 # the null and #CORRUPT turns
     for (text, tool), got in zip(rows, out.to_pylist()):
         assert {k: got[k] for k in extract.OUTPUT_FIELDS} == \
             oracle_extract_turn(text, tool, got["turn_idx"])
@@ -198,17 +198,16 @@ def test_records_float_must_reject_stay_on_the_batch_path():
     assert "float takes it" in out.column("left_column")[1].as_py()
 
 
-def test_forced_strategy_keeps_html_on_the_per_turn_path():
-    """compare_strategies forces a strategy onto every tool: html under
-    a003 still takes the per-turn path; pdf_layout and plain text under
-    a003 take the batch paths."""
+def test_forced_strategy_runs_html_on_the_batch_path():
+    """compare_strategies forces a strategy onto every tool: html,
+    pdf_layout and plain text under a003 all take the batch paths."""
     html = ("<html><body><header>Top</header><main><div><p>a</p></div>"
             "<div><p>b</p></div></main><footer>page 3</footer>"
             "</body></html>")
     rows = [(html, "html"), _CLEAN, ("plain words", "")]
     forced = {tool: "a003" for _, tool in rows}
     out, per_turn = extract_counting(transcript(rows), forced)
-    assert per_turn == 1
+    assert per_turn == 0
     for (text, tool), got in zip(rows, out.to_pylist()):
         assert {k: got[k] for k in extract.OUTPUT_FIELDS} == \
             extract_turn(text, tool, got["turn_idx"], "a003")
