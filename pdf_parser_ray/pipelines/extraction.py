@@ -4,15 +4,21 @@ One path: a transcript Dataset (synthesized by ``run_extraction``, read
 by ``run_extraction_from_parquet`` through ``read_transcripts``) ->
 ``extract_dataset``, a single stateless ``map_batches(extract_batch)``
 fused with the read -> [optional] stable (conv_id, turn_idx) sort ->
-[optional] checkpointed bucketed write with lineage sidecars.
+[optional] checkpointed bucketed write with lineage sidecars. The
+write is map-side: each read + extract task also writes its block's
+part of every bucket it holds, and the calling process seals the
+buckets, so the only all-to-all the job can run is the ``ordered``
+sort.
 
 Skew handling: a cheap pre-count (groupby conv_id count on a projected
 dataset) identifies mega-conversations; the narrow extraction stage is
-skew-immune (rows are independent), so salting is only applied at the
-wide stages — the bucket writer hashes conv_id into many buckets
-(buckets ≫ heavy keys), and per-conv assembly salts mega-convs into
-sub-groups (stages/assemble handles one conv per group; mega convs are
-bounded by MAX turns per conv here, far below block budget).
+skew-immune (rows are independent), and so is the map-side write (a
+task writes only its own block's rows). Salting bounds the bucket, the
+resume unit: the bucket writer hashes conv_id (or, salted, conv_id and
+a turn range) into many buckets (buckets ≫ heavy keys), and per-conv
+assembly salts mega-convs into sub-groups (stages/assemble handles one
+conv per group; mega convs are bounded by MAX turns per conv here, far
+below block budget).
 """
 
 from __future__ import annotations
@@ -96,6 +102,9 @@ def heavy_conversations(transcripts, *, threshold: int = 64):
 
 
 def _finish(extracted, out_dir, ordered, n_buckets, salt_turns=0):
+    """The extracted Dataset, globally sorted when ``ordered`` (the
+    job's one all-to-all); with ``out_dir``, written through the
+    shuffle-free ``checkpointed_write`` and its lineage returned."""
     if ordered:
         extracted = extracted.sort(["conv_id", "turn_idx"])
     if out_dir is not None:

@@ -7,44 +7,53 @@ job must not restart from zero. Layout::
     out/
       _MANIFEST.json       # n_buckets, key, salt_turns: the bucketing
                            # a resume must repeat
-      bucket=00013/        # one rename of bucket=00013.tmp-<pid>/
-        part.parquet
+      bucket=00013/        # one rename of bucket=00013.tmp-<run id>/
+        part-<uuid>.parquet  # one sorted part per read block that
+        part-<uuid>.parquet  # held rows of this bucket
         _lineage.json      # rows, error_rows, key range, char metrics
-                           # (G5 analog), wall seconds, content hash
+                           # (G5 analog), wall seconds, content hash,
+                           # and the part file names
         _SUCCESS           # commit marker
 
+The checkpointed write has no shuffle. Its map side is fused into the
+read + extract task: the task buckets its block, sorts it once on
+(bucket, conv_id, turn_idx) (``pc.sort_indices`` is stable, as pandas'
+mergesort), and writes one fsynced part per bucket it holds into that
+bucket's staging directory ``bucket=NNNNN.tmp-<run id>/`` under a
+unique name, returning one small record per part. The calling
+process then seals each bucket: it deletes staged files no record lists (a retried
+attempt's leftovers), writes ``_lineage.json`` and ``_SUCCESS`` and
+commits the bucket with ONE directory rename. No task ever holds a
+whole bucket; the cost is blocks x buckets part files, each sorted on
+its own.
+
 `_commit` takes one partition as an Arrow table in its final row
-order and writes the part file, the metadata file and ``_SUCCESS``
-into a per-writer tmp directory, fsyncs it, and commits it with ONE
-directory rename: no committed name ever lacks its marker or
-metadata. A final-name directory with its metadata file and a part
-file is adopted (its marker restored if lost); any other is rewritten.
-The shard exports (state/shards.py) commit through it with
-``_meta.json``, after their pandas sort.
+order, writes ``part.parquet`` into a per-writer tmp directory and
+seals it the same way; the shard exports (state/shards.py) commit
+through it with ``_meta.json``, after their pandas sort. No committed
+name ever lacks its marker or metadata. A final-name directory whose
+metadata file and every part file it lists are present is adopted
+(its marker restored if lost); any other is rewritten.
 
-The bucket writer never leaves Arrow: ``map_groups`` hands each bucket
-over as a ``pyarrow`` table, ``pc.sort_indices`` orders it on
-(conv_id, turn_idx) (stable, as pandas' mergesort), Arrow compute
-kernels fill the lineage, and the task returns it as JSON text.
-
-Resume = re-run the same command: buckets with ``_SUCCESS`` are dropped
-from the input BEFORE the shuffle with a vectorized ``is_in`` filter, so
-finished work costs one pruned scan, not recomputation. Correct because
-the kernel is pure per-row (same input bucket -> same bytes). Bucket
-membership is a fixed-key siphash of the key, NOT Python ``hash()``
-(salted per process), so it is identical across runs and nodes.
+Resume = re-run the same command: the map side drops the rows of
+buckets that hold ``_SUCCESS`` and every listed part with a vectorized
+``is_in`` filter, so finished work costs one pruned scan, not a
+rewrite. Correct because the kernel is pure per-row (same input bucket
+-> same rows). Bucket membership is a fixed-key siphash of the key,
+NOT Python ``hash()`` (salted per process), so it is identical across
+runs and nodes.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import re
 import shutil
 import time
-from typing import Callable, List, Optional
+import uuid
+from typing import Callable, Dict, List, Optional
 
 import pandas as pd
 import pyarrow as pa
@@ -53,6 +62,7 @@ import pyarrow.parquet as pq
 
 _ROW_GROUP = 65536          # rows per parquet row group / write slice
 _HASH_CHUNK = 1 << 20       # bytes per content-hash read
+_SUM0 = pc.ScalarAggregateOptions(min_count=0)   # an empty sum is 0
 
 
 def add_bucket_column(batch: pa.Table, *, key: str, n_buckets: int,
@@ -61,9 +71,11 @@ def add_bucket_column(batch: pa.Table, *, key: str, n_buckets: int,
     (relational.stable_bucket_series — deterministic across processes
     for a given pandas version) — or, with ``salt_turns`` > 0, of
     (key, turn_idx // salt_turns): a mega-conversation then spreads
-    across many buckets so no single writer task holds more than
-    ~salt_turns of its rows (SURVEY.md §4 skew salting). Bucket remains
-    a pure row function, so resume semantics are unchanged.
+    across many buckets so no single bucket, the resume unit, holds
+    more than ~salt_turns of its rows (SURVEY.md §4 skew salting).
+    The checkpointed write calls it per block, on the map side: no task
+    holds a whole bucket, salted or not. Bucket remains a pure row
+    function, so resume semantics are unchanged.
 
     The hash is pinned by golden bucket ids in the tests, so a pandas
     upgrade that moves them fails there instead of silently
@@ -81,28 +93,40 @@ def add_bucket_column(batch: pa.Table, *, key: str, n_buckets: int,
         stable_bucket_series(keys, n_buckets), pa.int32()))
 
 
-def _holds(pdir: str, name: str) -> bool:
-    """Whether partition directory ``pdir`` holds ``name`` and a
-    parquet part file."""
+#: a partition's metadata file: checkpoint buckets, then the exports
+_META_FILES = ("_lineage.json", "_meta.json")
+
+
+def _whole(pdir: str, meta_file: str) -> Optional[dict]:
+    """The metadata of partition directory ``pdir`` when it holds
+    ``meta_file`` and every part file that lists (``part.parquet`` for
+    metadata with no ``parts`` list: the exports' and the older
+    single-part checkpoint's); else None."""
     try:
-        names = os.listdir(pdir)
-    except OSError:
-        return False
-    return name in names and any(n.endswith(".parquet") for n in names)
+        meta = _read_meta(pdir, meta_file)
+    except (OSError, ValueError):   # absent, or torn by an older writer
+        return None
+    parts = meta.get("parts", ["part.parquet"])
+    return meta if all(os.path.isfile(os.path.join(pdir, p))
+                       for p in parts) else None
 
 
 def completed_buckets(out_dir: str, prefix: str = "bucket") -> List[int]:
     """Ids of the committed ``<prefix>=NNNNN`` partitions under
-    ``out_dir`` (those holding ``_SUCCESS`` and a parquet part file).
-    Only names of the form the writers produce count, so a writer's
-    leftover ``<prefix>=NNNNN.tmp-<pid>`` directory is never taken for
-    one."""
+    ``out_dir`` (those holding ``_SUCCESS``, their metadata file and
+    every part file it lists). Only names of the form the writers
+    produce count, so a writer's leftover ``<prefix>=NNNNN.tmp-<id>``
+    directory is never taken for one."""
     if not os.path.isdir(out_dir):
         return []
     name_re = re.compile(re.escape(prefix) + r"=(\d{5,})")
-    return sorted(
-        int(m.group(1)) for m in map(name_re.fullmatch, os.listdir(out_dir))
-        if m and _holds(os.path.join(out_dir, m.group(0)), "_SUCCESS"))
+    done = []
+    for m in map(name_re.fullmatch, os.listdir(out_dir)):
+        pdir = m and os.path.join(out_dir, m.group(0))
+        if pdir and os.path.exists(os.path.join(pdir, "_SUCCESS")) and any(
+                _whole(pdir, f) is not None for f in _META_FILES):
+            done.append(int(m.group(1)))
+    return sorted(done)
 
 
 def fsync_path(path: str) -> None:
@@ -162,7 +186,7 @@ def _resume_layout(path: str, identity: dict,
 
 def _resume_partitions(out_dir: str, prefix: str) -> List[int]:
     """Ids of the committed partitions a re-run skips, after removing
-    the ``<prefix>=NNNNN.tmp-<pid>`` directories of writers that died
+    the ``<prefix>=NNNNN.tmp-<id>`` directories of writers that died
     before their rename (no committed rows a glob may find)."""
     for name in os.listdir(out_dir):
         if name.startswith(f"{prefix}=") and ".tmp-" in name:
@@ -178,13 +202,9 @@ def _read_meta(pdir: str, meta_file: str = "_meta.json") -> dict:
 def _adopt(pdir: str, meta_file: str) -> Optional[dict]:
     """The metadata of an already committed partition directory, its
     ``_SUCCESS`` marker restored if lost. None when ``pdir`` is absent
-    or no whole commit (an older writer died mid-write, or the part
-    file was lost); such a directory is removed, to be rewritten."""
-    try:
-        meta = _read_meta(pdir, meta_file) if _holds(pdir, meta_file) \
-            else None
-    except ValueError:              # torn by an older, non-atomic writer
-        meta = None
+    or no whole commit (an older writer died mid-write, or a part file
+    it lists was lost); such a directory is removed, to be rewritten."""
+    meta = _whole(pdir, meta_file)
     if meta is None:
         shutil.rmtree(pdir, ignore_errors=True)
     elif not os.path.exists(os.path.join(pdir, "_SUCCESS")):
@@ -202,13 +222,34 @@ def _narrow(schema: pa.Schema) -> pa.Schema:
                       for f in schema], metadata=schema.metadata)
 
 
+def _seal(tmp: str, pdir: str, meta: dict, meta_file: str) -> dict:
+    """Commit the staged directory ``tmp``, whose part files are
+    already durable, as ``pdir``: write ``meta_file`` and ``_SUCCESS``,
+    fsync them and the directory, then ONE rename. Returns the committed
+    metadata (another writer's, if it committed first). The caller
+    fsyncs the parent directory."""
+    for name, text in ((meta_file, json.dumps(meta)), ("_SUCCESS", "")):
+        with open(os.path.join(tmp, name), "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+    fsync_path(tmp)
+    try:
+        os.rename(tmp, pdir)             # the one atomic commit
+    except OSError:
+        # another writer committed first; keep its partition
+        shutil.rmtree(tmp, ignore_errors=True)
+        return _read_meta(pdir, meta_file)
+    return meta
+
+
 def _commit(table: pa.Table, out_dir: str, prefix: str, pid: int,
             fields: Callable[[str], dict], *,
             meta_file: str = "_meta.json") -> dict:
     """Write partition ``pid`` (``table``, already in its final row
-    order) and commit it with one directory rename; returns its
-    metadata: ``{prefix: pid, "rows": n, **fields(content_hash)}``,
-    stored as ``meta_file``."""
+    order) as ``part.parquet`` and commit it with one directory rename;
+    returns its metadata: ``{prefix: pid, "rows": n,
+    **fields(content_hash)}``, stored as ``meta_file``."""
     sdir = os.path.join(out_dir, f"{prefix}={pid:05d}")
     # an earlier (crashed-after-rename or speculatively retried) task
     # already committed this partition — the rename IS the commit
@@ -216,7 +257,7 @@ def _commit(table: pa.Table, out_dir: str, prefix: str, pid: int,
     if meta is not None:
         return meta
     # unique tmp dir per writer so concurrent retries never collide;
-    # only the rename below is the commit point
+    # only the rename in _seal is the commit point
     tmp = f"{sdir}.tmp-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
@@ -231,96 +272,198 @@ def _commit(table: pa.Table, out_dir: str, prefix: str, pid: int,
     with open(ppath, "rb") as f:
         for chunk in iter(lambda: f.read(_HASH_CHUNK), b""):
             hasher.update(chunk)
-    meta = {prefix: pid, "rows": table.num_rows,
-            **fields(hasher.hexdigest())}
-    with open(os.path.join(tmp, meta_file), "w") as f:
-        json.dump(meta, f)
-    open(os.path.join(tmp, "_SUCCESS"), "w").close()
-    fsync_tree(tmp)
-    try:
-        os.rename(tmp, sdir)             # the one atomic commit
-    except OSError:
-        # another writer committed first; keep its partition
-        shutil.rmtree(tmp, ignore_errors=True)
-        return _read_meta(sdir, meta_file)
+    fsync_path(ppath)
+    meta = _seal(tmp, sdir, {prefix: pid, "rows": table.num_rows,
+                             **fields(hasher.hexdigest())}, meta_file)
     fsync_path(out_dir)
     return meta
 
 
 # ------------------------------------------------------ the checkpointed write
 
-#: the per-bucket lineage, in ``_lineage.json`` key order
+#: the per-bucket lineage, in ``_lineage.json`` key order (the file
+#: then lists the bucket's ``parts``)
 _LINEAGE_COLUMNS = ("bucket", "rows", "error_rows", "conversations",
                    "conv_id_min", "conv_id_max", "chars_extracted",
                    "wall_seconds", "content_hash")
 
 
-def _write_bucket(group: pa.Table, out_dir: str) -> pa.Table:
-    """map_groups body: commit one bucket, sorted on (conv_id,
-    turn_idx), with its lineage sidecar; returns the lineage as JSON
-    text."""
-    t0 = time.monotonic()
-    pid = group.column("bucket")[0].as_py()
-    body = group.drop_columns(["bucket"])
-    body = body.take(pc.sort_indices(body, sort_keys=[
-        ("conv_id", "ascending"), ("turn_idx", "ascending")]))
-    cols = body.column_names
+def _staging_dir(out_dir: str, bucket: int, run_id: str) -> str:
+    return os.path.join(out_dir, f"bucket={bucket:05d}.tmp-{run_id}")
 
-    def lineage(content_hash: str) -> dict:
-        conv_min, conv_max = (
-            "nan" if v is None else str(v)           # pandas' empty min
-            for v in pc.min_max(body["conv_id"]).values())
-        return {
-            "error_rows": pc.sum(pc.match_substring(
-                body["metadata_json"], '"error":'), min_count=0).as_py()
-            if "metadata_json" in cols else 0,
-            "conversations": pc.count_distinct(body["conv_id"]).as_py(),
-            "conv_id_min": conv_min,
-            "conv_id_max": conv_max,
-            # G5 char-count metrics analog (A002_header_footer_2_col.py:334-340)
-            "chars_extracted": pc.sum(pc.utf8_length(
-                body["extracted_text"]), min_count=0).as_py()
+
+def _stage_parts(batch: pa.Table, *, out_dir: str, key: str,
+                 n_buckets: int, salt_turns: int, done: List[int],
+                 run_id: str) -> pa.Table:
+    """The map side of the checkpointed write, fused into the read +
+    extract task: bucket one block, drop the committed buckets' rows,
+    sort the rest once on (bucket, conv_id, turn_idx) and write one
+    fsynced part per bucket into its staging directory. Returns one
+    JSON record per part: its bucket and file name, rows, error rows,
+    distinct conv_ids and their min / max, characters, content hash
+    (blake2b of the parquet bytes) and write seconds."""
+    table = add_bucket_column(batch, key=key, n_buckets=n_buckets,
+                              salt_turns=salt_turns)
+    if done:
+        table = table.filter(pc.invert(pc.is_in(
+            table["bucket"], value_set=pa.array(done, pa.int32()))))
+    table = table.take(pc.sort_indices(table, sort_keys=[
+        ("bucket", "ascending"), ("conv_id", "ascending"),
+        ("turn_idx", "ascending")]))
+    cols = table.column_names
+    # the whole block's part lineage in one grouped aggregate; groups
+    # come out in first-appearance (= bucket) order
+    absent = pa.nulls(table.num_rows, pa.int64())
+    stats = pa.table({
+        "bucket": table["bucket"],
+        "conv_id": table["conv_id"],
+        "err": pc.cast(pc.match_substring(table["metadata_json"],
+                                          '"error":'), pa.int64())
+        if "metadata_json" in cols else absent,
+        "chars": pc.utf8_length(table["extracted_text"])
+        if "extracted_text" in cols else absent,
+    }).group_by("bucket", use_threads=False).aggregate([
+        ([], "count_all"), ("err", "sum", _SUM0),
+        ("conv_id", "count_distinct"), ("conv_id", "min_max"),
+        ("chars", "sum", _SUM0)]).to_pylist()
+    body = table.drop_columns(["bucket"])
+    body = body.cast(_narrow(body.schema))
+    records, offset = [], 0
+    for g in stats:
+        t0 = time.monotonic()
+        rows = g["count_all"]
+        part = f"part-{uuid.uuid4().hex}.parquet"
+        sdir = _staging_dir(out_dir, g["bucket"], run_id)
+        os.makedirs(sdir, exist_ok=True)
+        sink = pa.BufferOutputStream()
+        pq.write_table(body.slice(offset, rows), sink,
+                       row_group_size=_ROW_GROUP)
+        data = sink.getvalue()
+        # the staging directory is invisible until the seal, so the part
+        # goes straight to its unique name
+        with open(os.path.join(sdir, part), "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        offset += rows
+        records.append(json.dumps({
+            "bucket": g["bucket"], "part": part, "rows": rows,
+            "error_rows": g["err_sum"],
+            "conversations": g["conv_id_count_distinct"],
+            "conv_id_min": g["conv_id_min_max"]["min"],
+            "conv_id_max": g["conv_id_min_max"]["max"],
+            "chars_extracted": g["chars_sum"]
             if "extracted_text" in cols else None,
-            "wall_seconds": round(time.monotonic() - t0, 4),
-            "content_hash": content_hash,
-        }
+            "content_hash": hashlib.blake2b(
+                data, digest_size=16).hexdigest(),
+            "write_seconds": time.monotonic() - t0}))
+    return pa.table({"part": pa.array(records, pa.string())})
 
-    meta = _commit(body, out_dir, "bucket", pid, lineage,
-                   meta_file="_lineage.json")
-    return pa.table({"lineage": pa.array([json.dumps(meta)], pa.string())})
+
+def _conversations(sdir: str, parts: List[dict]) -> int:
+    """Distinct conv_ids over a bucket's parts that hold any. Each
+    part's count and [min, max] are exact, so while the parts' ranges at
+    most touch, it is the sum of the per-part counts less the shared
+    endpoints; once two ranges interleave, the parts' conv_id columns
+    are read."""
+    total, high = 0, None
+    for p in sorted(parts, key=lambda p: (p["conv_id_min"],
+                                          p["conv_id_max"])):
+        if high is not None and p["conv_id_min"] < high:
+            return pc.count_distinct(pa.chunked_array(
+                pq.read_table(os.path.join(sdir, q["part"]),
+                              columns=["conv_id"]).column(0)
+                for q in parts)).as_py()
+        total += p["conversations"] - (p["conv_id_min"] == high)
+        high = p["conv_id_max"]
+    return total
+
+
+def _seal_bucket(out_dir: str, run_id: str, bucket: int,
+                 parts: List[dict]) -> dict:
+    """The seal: commit one bucket from its staged parts' records
+    and return its lineage. Lineage values are those of one sorted file
+    of the bucket's rows, except ``content_hash``: the blake2b over the
+    part hashes in part order (sorted by hash), so it depends on the
+    read's block boundaries, not only on the rows. ``wall_seconds`` sums
+    the parts' write times and the seal's."""
+    t0 = time.monotonic()
+    sdir = _staging_dir(out_dir, bucket, run_id)
+    pdir = os.path.join(out_dir, f"bucket={bucket:05d}")
+    # committed already (at most its marker lost): keep its parts
+    meta = _adopt(pdir, "_lineage.json")
+    if meta is not None:
+        shutil.rmtree(sdir, ignore_errors=True)
+        return meta
+    parts = sorted(parts, key=lambda p: (p["content_hash"], p["part"]))
+    names = [p["part"] for p in parts]
+    for name in set(os.listdir(sdir)) - set(names):
+        os.remove(os.path.join(sdir, name))   # a retried attempt's part
+    hasher = hashlib.blake2b(digest_size=16)
+    for p in parts:
+        hasher.update(bytes.fromhex(p["content_hash"]))
+    ranged = [p for p in parts if p["conv_id_min"] is not None]
+    chars = [p["chars_extracted"] for p in parts
+             if p["chars_extracted"] is not None]
+    meta = {
+        "bucket": bucket,
+        "rows": sum(p["rows"] for p in parts),
+        "error_rows": sum(p["error_rows"] for p in parts),
+        "conversations": _conversations(sdir, ranged),
+        # "nan" for no conv_id at all, as pandas' empty min
+        "conv_id_min": str(min(p["conv_id_min"] for p in ranged))
+        if ranged else "nan",
+        "conv_id_max": str(max(p["conv_id_max"] for p in ranged))
+        if ranged else "nan",
+        # G5 char-count metrics analog (A002_header_footer_2_col.py:334-340)
+        "chars_extracted": sum(chars) if chars else None,
+        "wall_seconds": round(sum(p["write_seconds"] for p in parts)
+                              + time.monotonic() - t0, 4),
+        "content_hash": hasher.hexdigest(),
+        "parts": names,
+    }
+    return _seal(sdir, pdir, meta, "_lineage.json")
+
+
+def _seal_buckets(out_dir: str, run_id: str, records: List[dict]
+                  ) -> List[dict]:
+    """Seal every bucket the part ``records`` name, then sweep this
+    run's staging directories that no record named."""
+    by_bucket: Dict[int, List[dict]] = {}
+    for r in records:
+        by_bucket.setdefault(r["bucket"], []).append(r)
+    metas = [_seal_bucket(out_dir, run_id, b, by_bucket[b])
+             for b in sorted(by_bucket)]
+    for name in os.listdir(out_dir):
+        if name.endswith(f".tmp-{run_id}"):
+            shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+    fsync_path(out_dir)
+    return metas
 
 
 def checkpointed_write(ds, out_dir: str, *, key: str = "conv_id",
                        n_buckets: int = 32,
                        salt_turns: int = 0) -> pd.DataFrame:
     """Write ``ds`` as resumable bucketed parquet; returns the per-bucket
-    lineage metrics (small — one row per bucket).
+    lineage metrics (small — one row per bucket written or adopted).
 
-    The groupby('bucket') is the job's ONE intentional all-to-all
-    shuffle; everything upstream is narrow. n_buckets scales with the
-    cluster (buckets ≫ nodes keeps stragglers short); it is pinned in
-    the manifest so a resume can't silently re-bucket.
+    No shuffle: each task of ``ds`` stages its own rows' parts
+    (``_stage_parts``, fused into the task, so no task holds more than
+    one block of a bucket) and this process seals the buckets from the
+    part records it collects. n_buckets is the resume unit's count;
+    it is pinned in the manifest so a resume can't silently re-bucket.
     """
     os.makedirs(out_dir, exist_ok=True)
     _resume_layout(os.path.join(out_dir, "_MANIFEST.json"),
                    {"n_buckets": n_buckets, "key": key,
                     "salt_turns": salt_turns})
-    done = _resume_partitions(out_dir, "bucket")
-
-    bucketed = ds.map_batches(add_bucket_column, batch_format="pyarrow",
-                              fn_kwargs={"key": key, "n_buckets": n_buckets,
-                                         "salt_turns": salt_turns})
-    if done:
-        done_arr = pa.array(done, pa.int32())
-        bucketed = bucketed.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(t["bucket"], value_set=done_arr))),
-            batch_format="pyarrow")
-
-    writer = functools.partial(_write_bucket, out_dir=out_dir)
-    written = bucketed.groupby("bucket").map_groups(  # one row per bucket
-        writer, batch_format="pyarrow").to_pandas()
-    metas = sorted((json.loads(m) for m in written.get("lineage", [])),
-                   key=lambda m: m["bucket"])
+    run_id = uuid.uuid4().hex[:12]
+    staged = ds.map_batches(_stage_parts, batch_format="pyarrow", fn_kwargs={
+        "out_dir": out_dir, "key": key, "n_buckets": n_buckets,
+        "salt_turns": salt_turns, "run_id": run_id,
+        "done": _resume_partitions(out_dir, "bucket")}).to_pandas()
+    metas = _seal_buckets(out_dir, run_id,
+                          [json.loads(r) for r in staged.get("part", [])])
     # typed columns even when every bucket was already committed
     return pd.DataFrame(metas, columns=list(_LINEAGE_COLUMNS)).astype(
         dict.fromkeys(_LINEAGE_COLUMNS[:4], "int64"))

@@ -1,9 +1,11 @@
-"""The checkpoint writer (state/checkpoint.py): golden bucket ids and
-the Arrow bucket writer's lineage and part-file schema."""
+"""The checkpoint writer (state/checkpoint.py): golden bucket ids, and
+both sides of the map-side write run in this process: the lineage the
+caller seals from the part records, and the part-file schema."""
 
 import glob
 import json
 import os
+import random
 
 import pandas as pd
 import pyarrow as pa
@@ -12,7 +14,7 @@ import pyarrow.parquet as pq
 from pdf_parser_ray.relational import stable_bucket_series
 from pdf_parser_ray.stages.extract import extract_batch
 from pdf_parser_ray.state.checkpoint import (_LINEAGE_COLUMNS,
-                                             _write_bucket,
+                                             _seal_buckets, _stage_parts,
                                              add_bucket_column)
 
 _STR_KEYS = ["conv-00000000", "conv-00000001", "", "é中🚀", "a b",
@@ -49,17 +51,40 @@ def test_golden_bucket_ids():
         [16, 411, 143, 909, 129, 916]
 
 
-def _bucket(rows, bucket=3):
-    """Extracted rows of (conv_id, turn_idx, text, tool), as the writer
-    receives one bucket."""
+def _extracted(rows):
+    """Extracted rows of (conv_id, turn_idx, text, tool), as one read
+    block reaches the map side of the write."""
     conv, turn, text, tool = zip(*rows)
-    out = extract_batch(pa.table({
+    return extract_batch(pa.table({
         "conv_id": pa.array(conv, pa.string()),
         "turn_idx": pa.array(turn, pa.int64()),
         "text": pa.array(text, pa.string()),
         "tool": pa.array(tool, pa.string())}))
-    return out.append_column("bucket", pa.array([bucket] * len(rows),
-                                                pa.int32()))
+
+
+def _stage(block, out, run_id="run", n_buckets=1, done=()):
+    """The part records one task returns for ``block``."""
+    ret = _stage_parts(block, out_dir=out, key="conv_id",
+                       n_buckets=n_buckets, salt_turns=0, done=list(done),
+                       run_id=run_id)
+    assert ret.column_names == ["part"]
+    return [json.loads(r) for r in ret.column("part").to_pylist()]
+
+
+def _write(blocks, out, n_buckets=1):
+    """Both sides of the checkpointed write, in this process: stage
+    every block, then seal; returns the lineage of each bucket."""
+    records = [r for b in blocks for r in _stage(b, out, n_buckets=n_buckets)]
+    return _seal_buckets(out, "run", records)
+
+
+def _parts(out, bucket=0):
+    bdir = os.path.join(out, f"bucket={bucket:05d}")
+    with open(os.path.join(bdir, "_lineage.json")) as f:
+        names = json.load(f)["parts"]
+    assert sorted(os.listdir(bdir)) == sorted(
+        ["_SUCCESS", "_lineage.json", *names])
+    return [pq.read_table(os.path.join(bdir, n)) for n in names]
 
 
 _ROWS = [
@@ -75,14 +100,14 @@ _ROWS = [
 ]
 
 
-def _pandas_lineage(group: pa.Table):
-    """The lineage and row order of the pandas writer this one
+def _pandas_lineage(block: pa.Table):
+    """The lineage and row order of the pandas writer the Arrow writers
     replaced: mergesort on (conv_id, turn_idx), pandas string ops."""
-    g = (group.to_pandas().sort_values(["conv_id", "turn_idx"],
+    g = (block.to_pandas().sort_values(["conv_id", "turn_idx"],
                                        kind="mergesort")
-         .drop(columns=["bucket"]).reset_index(drop=True))
+         .reset_index(drop=True))
     return g, {
-        "bucket": int(group.column("bucket")[0].as_py()),
+        "bucket": 0,
         "rows": len(g),
         "error_rows": int(g["metadata_json"].str.contains(
             '"error":', regex=False).sum()),
@@ -94,13 +119,11 @@ def _pandas_lineage(group: pa.Table):
 
 
 def test_arrow_writer_lineage_and_order_equal_pandas(tmp_path):
-    group = _bucket(_ROWS)
+    block = _extracted(_ROWS)
     out = str(tmp_path)
-    ret = _write_bucket(group, out)
-    assert ret.column_names == ["lineage"] and ret.num_rows == 1
-    meta = json.loads(ret.column("lineage")[0].as_py())
-    assert tuple(meta) == _LINEAGE_COLUMNS
-    g, want = _pandas_lineage(group)
+    [meta] = _write([block], out)
+    assert tuple(meta) == (*_LINEAGE_COLUMNS, "parts")
+    g, want = _pandas_lineage(block)
     assert {k: meta[k] for k in want} == want
     # null text and #CORRUPT are the error rows; "é" sorts after "zé"
     # (code points); characters, not UTF-8 bytes
@@ -108,26 +131,35 @@ def test_arrow_writer_lineage_and_order_equal_pandas(tmp_path):
     assert (meta["conv_id_min"], meta["conv_id_max"]) == ("Z", "é")
     text = g["extracted_text"]
     assert meta["chars_extracted"] < sum(len(t.encode()) for t in text)
-    with open(os.path.join(out, "bucket=00003", "_lineage.json")) as f:
+    with open(os.path.join(out, "bucket=00000", "_lineage.json")) as f:
         assert json.load(f) == meta
     # duplicate keys keep their input order, as the stable mergesort did
-    back = pq.read_table(os.path.join(out, "bucket=00003", "part.parquet"))
+    [back] = _parts(out)
     pd.testing.assert_frame_equal(back.to_pandas(), g)
     assert back.column("extracted_text").to_pylist()[2:5] == [
         "héllo wörld 中文 🚀", "same key, second",
         "also the same key, third"]
+    # the same rows split over blocks: the same lineage but the hash
+    halves = _write([block.slice(0, 4), block.slice(4)], str(tmp_path / "h"))
+    assert [{k: m[k] for k in want} for m in halves] == [want]
+    assert halves[0]["content_hash"] != meta["content_hash"]
+    assert len(halves[0]["parts"]) == 2
 
 
 def test_arrow_writer_lineage_guards(tmp_path):
     """Columns the lineage reads are optional, as before."""
-    group = pa.table({"conv_id": pa.array(["b", "a", None], pa.string()),
-                      "turn_idx": pa.array([0, 1, 2], pa.int32()),
-                      "bucket": pa.array([0, 0, 0], pa.int32())})
-    meta = json.loads(_write_bucket(group, str(tmp_path))
-                      .column("lineage")[0].as_py())
+    block = pa.table({"conv_id": pa.array(["b", "a", None], pa.string()),
+                      "turn_idx": pa.array([0, 1, 2], pa.int32())})
+    [meta] = _write([block], str(tmp_path))
     assert {k: meta[k] for k in _LINEAGE_COLUMNS[:7]} == {
         "bucket": 0, "rows": 3, "error_rows": 0, "conversations": 2,
         "conv_id_min": "a", "conv_id_max": "b", "chars_extracted": None}
+    # an all-NULL key range reads as pandas' empty min did
+    nulls = pa.table({"conv_id": pa.nulls(2, pa.string()),
+                      "turn_idx": pa.array([0, 1], pa.int32())})
+    [meta] = _write([nulls, nulls], str(tmp_path / "n"))
+    assert (meta["rows"], meta["conversations"], meta["conv_id_min"],
+            meta["conv_id_max"]) == (4, 0, "nan", "nan")
 
 
 #: the part-file schema: strings as a pandas round trip wrote them
@@ -143,15 +175,76 @@ _PART_SCHEMA = pa.schema([
 
 def test_part_file_schema_and_mixed_writer_directory(tmp_path):
     """A bucket the pandas writer committed and one this writer commits
-    read back as one table."""
+    in parts read back as one table, large strings narrowed."""
     out = str(tmp_path)
-    older, _ = _pandas_lineage(_bucket(_ROWS[:4], bucket=0))
-    os.makedirs(os.path.join(out, "bucket=00000"))
+    older, _ = _pandas_lineage(_extracted(_ROWS[:4]))
+    os.makedirs(os.path.join(out, "bucket=00005"))
     pq.write_table(pa.Table.from_pandas(older, preserve_index=False),
-                   os.path.join(out, "bucket=00000", "part.parquet"))
-    _write_bucket(_bucket(_ROWS[4:], bucket=1), out)
+                   os.path.join(out, "bucket=00005", "part.parquet"))
+    newer = _extracted(_ROWS[4:])
+    wide = pa.schema([f.with_type(pa.large_string())
+                      if f.type == pa.string() else f for f in newer.schema])
+    _write([newer.slice(0, 2).cast(wide), newer.slice(2)], out)
     parts = sorted(glob.glob(os.path.join(out, "bucket=*", "*.parquet")))
-    assert pq.read_schema(parts[1]).remove_metadata() == _PART_SCHEMA
+    assert len(parts) == 3
+    for p in parts:
+        assert pq.read_schema(p).remove_metadata() == _PART_SCHEMA
     both = pa.concat_tables([pq.read_table(p) for p in parts])
     assert both.num_rows == len(_ROWS)
     assert both.schema.remove_metadata() == _PART_SCHEMA
+
+
+def _keys(convs):
+    return pa.table({"conv_id": pa.array(convs, pa.string()),
+                     "turn_idx": pa.array(range(len(convs)), pa.int32())})
+
+
+def test_conversations_exact_over_parts(tmp_path, monkeypatch):
+    """``conversations`` is the distinct count over the whole bucket:
+    from the part counts while the parts' ranges touch (even in a chain
+    over three parts), from the parts' conv_id columns once they
+    interleave."""
+    from pdf_parser_ray.state import checkpoint
+
+    def no_read(*a, **k):
+        raise AssertionError("ranges that only touch need no read")
+
+    with monkeypatch.context() as m:
+        m.setattr(checkpoint.pq, "read_table", no_read)
+        for name, blocks in {
+            "touch": [["a", "b", "c", "c"], ["c", "d"]],
+            "chain": [["a", "b", "c"], ["c", "c"], ["c", "d", "e"]],
+            "disjoint": [["x", "y"], ["a", "b"], ["m"]],
+            "same_one": [["k"], ["k"], ["k"]],
+        }.items():
+            [meta] = _write([_keys(b) for b in blocks], str(tmp_path / name))
+            want = len({c for b in blocks for c in b})
+            assert meta["conversations"] == want, name
+            assert len(meta["parts"]) == len(blocks)
+
+    rng = random.Random(7)
+    convs = [f"c{rng.randrange(40):02d}" for _ in range(300)]
+    blocks = [convs[i::3] for i in range(3)]   # a shuffled input
+    [meta] = _write([_keys(b) for b in blocks], str(tmp_path / "mixed"))
+    assert meta["conversations"] == len(set(convs))
+    assert (meta["conv_id_min"], meta["conv_id_max"]) == (min(convs),
+                                                          max(convs))
+
+
+def test_orphan_part_of_a_retried_attempt_is_not_committed(tmp_path):
+    """A task attempt that staged its parts and then died is retried
+    under new part names; only the parts the collected records list
+    are committed, and an identical second block keeps all its rows."""
+    out = str(tmp_path)
+    block = _keys(["a", "b", "c"])
+    _stage(block, out)                       # the attempt that died
+    records = _stage(block, out) + _stage(block, out)
+    [meta] = _seal_buckets(out, "run", records)
+    assert sorted(meta["parts"]) == sorted(r["part"] for r in records)
+    back = _parts(out)
+    assert sum(t.num_rows for t in back) == meta["rows"] == 6
+    assert len({r["content_hash"] for r in records}) == 1
+    assert os.listdir(out) == ["bucket=00000"]   # staging swept
+    # a run whose map side found every bucket committed seals nothing
+    assert _stage(block, out, done=[0]) == []
+    assert _seal_buckets(out, "other", []) == []

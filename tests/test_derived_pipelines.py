@@ -166,10 +166,16 @@ def _readback_keys_unique(out, total):
         ["conv_id", "turn_idx"]).any()
 
 
+def _listed_parts(bdir):
+    with open(os.path.join(bdir, "_lineage.json")) as f:
+        return json.load(f)["parts"]
+
+
 def test_checkpoint_sweeps_dead_writer_tmp(extracted, tmp_path):
-    """A writer that died after filling its tmp directory (marker
-    included) but before the rename: the re-run removes the tmp name,
-    so a readback of the directory holds every key once."""
+    """Runs that died before their seal, one with a whole bucket's files
+    in its staging directory (marker included), one with parts only:
+    the re-run removes both, so a readback of the directory holds every
+    key once."""
     from pdf_parser_ray.state.checkpoint import checkpointed_write
     ds, _ = extracted
     out = str(tmp_path / "ckpt")
@@ -177,16 +183,23 @@ def test_checkpoint_sweeps_dead_writer_tmp(extracted, tmp_path):
     stale = os.path.join(out, "bucket=00001.tmp-99999")
     shutil.copytree(os.path.join(out, "bucket=00001"), stale)
     assert os.path.exists(os.path.join(stale, "_SUCCESS"))
+    staged = os.path.join(out, "bucket=00002.tmp-0123456789ab")
+    os.makedirs(staged)
+    bdir = os.path.join(out, "bucket=00002")
+    for name in _listed_parts(bdir)[:2]:
+        shutil.copy(os.path.join(bdir, name), staged)
     checkpointed_write(ds, out, n_buckets=4)
-    assert not os.path.exists(stale)
+    assert not os.path.exists(stale) and not os.path.exists(staged)
     assert _readback_keys_unique(out, total)
 
 
 def test_checkpoint_commit_cases(extracted, tmp_path):
-    """Each bucket is one rename-committed directory: a re-run rewrites
-    a bucket that is no whole commit (the older writer's format, a lost
-    part file) and adopts one that only lost its marker, restoring
-    it — and touches no other bucket's part file."""
+    """Each bucket is one rename-committed directory of several parts: a
+    re-run rewrites a bucket that is no whole commit (the older
+    writer's format, a lost part file) and adopts one that only lost its
+    marker, restoring it — and touches no other bucket's part files."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
     from pdf_parser_ray.state.checkpoint import (checkpointed_write,
                                                  completed_buckets,
                                                  read_lineage)
@@ -196,16 +209,19 @@ def test_checkpoint_commit_cases(extracted, tmp_path):
     m1 = checkpointed_write(ds, out, n_buckets=4)
     assert sorted(m1["bucket"]) == [0, 1, 2, 3]
     total = int(m1["rows"].sum())
-    # the manifest bytes are those the older writer produced
+    # the manifest bytes are those the older writers produced
+    man_bytes = b'{"n_buckets": 4, "key": "conv_id", "salt_turns": 0}'
     with open(man_path, "rb") as f:
-        assert f.read() == (b'{"n_buckets": 4, "key": "conv_id", '
-                            b'"salt_turns": 0}')
+        assert f.read() == man_bytes
     bdir = {b: os.path.join(out, f"bucket={b:05d}") for b in range(4)}
+    assert len(_listed_parts(bdir[1])) >= 2
+    assert len(_listed_parts(bdir[2])) >= 2
 
     def stamps():
-        return {b: (st.st_ino, st.st_mtime_ns) for b, d in bdir.items()
-                if os.path.exists(os.path.join(d, "part.parquet"))
-                for st in [os.stat(os.path.join(d, "part.parquet"))]}
+        return {(b, n): (st.st_ino, st.st_mtime_ns)
+                for b, d in bdir.items() for n in os.listdir(d)
+                if n.endswith(".parquet")
+                for st in [os.stat(os.path.join(d, n))]}
 
     def rerun(rewritten, returned):
         before = stamps()
@@ -213,39 +229,112 @@ def test_checkpoint_commit_cases(extracted, tmp_path):
         assert (sorted(m["bucket"]) if len(m) else []) == returned
         assert completed_buckets(out) == [0, 1, 2, 3]
         for d in bdir.values():
-            assert sorted(os.listdir(d)) == [
-                "_SUCCESS", "_lineage.json", "part.parquet"]
+            names = ["_SUCCESS", "_lineage.json"]
+            if os.path.exists(os.path.join(d, "part.parquet")):
+                names.append("part.parquet")    # the single-part layout
+            else:
+                names.extend(_listed_parts(d))
+            assert sorted(os.listdir(d)) == sorted(names)
         after = stamps()
-        assert {b for b in after if after[b] != before.get(b)} == rewritten
+        assert {b for b, n in set(after) | set(before)
+                if after.get((b, n)) != before.get((b, n))} == rewritten
         assert int(read_lineage(out)["rows"].sum()) == total
         assert _readback_keys_unique(out, total)
+        with open(man_path, "rb") as f:
+            assert f.read() == man_bytes
 
-    # the older writer died between its data rename and its lineage
+    def merge_parts(b, name):
+        rows = pa.concat_tables(pq.read_table(os.path.join(bdir[b], n))
+                                for n in _listed_parts(bdir[b]))
+        for n in _listed_parts(bdir[b]):
+            os.remove(os.path.join(bdir[b], n))
+        pq.write_table(rows, os.path.join(bdir[b], name))
+
+    # the oldest writer died between its data rename and its lineage
     # write: part-NNNNN.parquet, no _lineage.json, no _SUCCESS
-    os.rename(os.path.join(bdir[2], "part.parquet"),
-              os.path.join(bdir[2], "part-00002.parquet"))
+    merge_parts(0, "part-00000.parquet")
     for name in ("_lineage.json", "_SUCCESS"):
-        os.remove(os.path.join(bdir[2], name))
+        os.remove(os.path.join(bdir[0], name))
+    rerun({0}, [0])
+
+    # one of several part files deleted, marker and lineage kept: not
+    # committed, so rewritten, never adopted short
+    os.remove(os.path.join(bdir[2], _listed_parts(bdir[2])[1]))
+    assert completed_buckets(out) == [0, 1, 3]
     rerun({2}, [2])
 
-    # part file and marker deleted: rewritten
-    for name in ("part.parquet", "_SUCCESS"):
+    # every part file and the marker deleted: rewritten
+    for name in _listed_parts(bdir[3]) + ["_SUCCESS"]:
         os.remove(os.path.join(bdir[3], name))
     rerun({3}, [3])
 
-    # only the part file deleted: not committed, so rewritten
-    os.remove(os.path.join(bdir[0], "part.parquet"))
-    rerun({0}, [0])
-
-    # only the marker missing: adopted as it is, marker restored
+    # only the marker missing: adopted as it is, marker restored, no
+    # part's inode or mtime changes
     os.remove(os.path.join(bdir[1], "_SUCCESS"))
     rerun(set(), [1])
+
+    # the single-part layout of the writer before the map-side write
+    # (part.parquet, a lineage listing no parts) is a whole commit
+    merge_parts(1, "part.parquet")
+    with open(os.path.join(bdir[1], "_lineage.json")) as f:
+        lineage = json.load(f)
+    del lineage["parts"]
+    with open(os.path.join(bdir[1], "_lineage.json"), "w") as f:
+        json.dump(lineage, f)
+    rerun(set(), [])
 
     # a manifest without salt_turns is refused, not read as unsalted
     with open(man_path, "w") as f:
         json.dump({"n_buckets": 4, "key": "conv_id"}, f)
     with pytest.raises(ValueError, match="resume mismatch"):
         checkpointed_write(ds, out, n_buckets=4)
+
+
+def test_checkpoint_write_is_map_side(ray_session, tmp_path, monkeypatch):
+    """One bucket over several blocks: the plan runs no all-to-all
+    operator, every part holds at most one block's rows while the
+    bucket holds more, and two blocks of identical content both keep
+    their rows."""
+    import pyarrow.dataset as pds
+    import ray.data as rd
+    from ray.data._internal.logical.operators.all_to_all_operator import \
+        AbstractAllToAll
+    from pdf_parser_ray.state.checkpoint import checkpointed_write
+    t = transcripts_table(SF_DIR, limit_docs=30)
+    blocks = [t.slice(0, 80), t.slice(80, 110), t.slice(190, 90)]
+    sizes = [b.num_rows for b in blocks]
+    assert sizes == [80, 110, 90]
+    blocks.append(blocks[1])                 # identical content twice
+
+    plans = []
+    original = rd.Dataset.to_pandas
+
+    def to_pandas(self, *args, **kwargs):
+        plans.append(self._logical_plan.dag)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", to_pandas)
+    out = str(tmp_path / "one")
+    [meta] = checkpointed_write(rd.from_arrow(blocks), out,
+                                n_buckets=1).to_dict("records")
+    monkeypatch.undo()
+    [dag] = plans
+    ops, todo = [], [dag]
+    while todo:
+        op = todo.pop()
+        ops.append(op)
+        todo.extend(op.input_dependencies)
+    assert not [op.name for op in ops if isinstance(op, AbstractAllToAll)]
+    assert "MapBatches(_stage_parts)" in [op.name for op in ops]
+
+    bdir = os.path.join(out, "bucket=00000")
+    rows = [pds.dataset(os.path.join(bdir, n)).count_rows()
+            for n in _listed_parts(bdir)]
+    assert len(rows) == len(blocks) and max(rows) <= max(sizes)
+    assert meta["rows"] == sum(rows) == sum(sizes) + sizes[1] > max(sizes)
+    back = pds.dataset(out, format="parquet").to_table().to_pandas()
+    assert len(back) == meta["rows"]
+    assert back.duplicated(["conv_id", "turn_idx"]).sum() == sizes[1]
 
 
 def test_rerun_with_every_bucket_committed_returns_lineage_columns(
