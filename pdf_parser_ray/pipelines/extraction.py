@@ -10,6 +10,15 @@ part of every bucket it holds, and the calling process seals the
 buckets, so the only all-to-all the job can run is the ``ordered``
 sort.
 
+The ordered sort is sized from bytes, not from the read's block
+count: Ray's sort runs one sample, map and reduce task per input block
+and its map -> reduce fan-out grows with the square of the block
+count, while each task costs tens of ms of session CPU whatever it
+holds. So ``ordered`` executes read + extract at the sort's barrier
+(``materialize``), coalesces the blocks to max(Ray CPUs, ceil(bytes /
+``DataContext.target_max_block_size``)) with the split ``repartition``
+(adjacent blocks joined, no shuffle) when that is fewer, then sorts.
+
 Skew handling: a cheap pre-count (groupby conv_id count on a projected
 dataset) identifies mega-conversations; the narrow extraction stage is
 skew-immune (rows are independent), and so is the map-side write (a
@@ -34,12 +43,8 @@ def pool_size(reserve: int = 2, cap: int | None = None) -> tuple:
     ``reserve`` CPUs for the read/shuffle/write stages — a pool that
     reserves every CPU deadlocks a downstream all-to-all (observed at
     num_cpus=4: pool of 4 starves the groupby shuffle indefinitely)."""
-    import ray
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:  # not initialized yet: conservative default
-        cpus = 4
-    hi = max(1, cpus - reserve)
+    from ..relational import ray_cpus
+    hi = max(1, ray_cpus(4) - reserve)
     if cap is not None:
         hi = min(hi, cap)
     # min close to max: the autoscaling ramp is too slow for short jobs
@@ -101,12 +106,39 @@ def heavy_conversations(transcripts, *, threshold: int = 64):
     return dict(zip(heavy["conv_id"], heavy["count"]))
 
 
+def _sorted(extracted):
+    """``extracted`` executed and globally sorted on (conv_id,
+    turn_idx) over max(Ray CPUs, ceil(bytes / target block size))
+    blocks (see the module docstring); its read's blocks when those are
+    fewer. The executed blocks stay pinned until the returned Dataset
+    is dropped. No rows: an empty Dataset that keeps the extracted
+    schema."""
+    import math
+
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from ..relational import ray_cpus
+    from ..stages.extract import EXTRACTED_SCHEMA
+
+    mat = extracted.materialize()
+    if mat.count() == 0:
+        return rd.from_arrow(EXTRACTED_SCHEMA.empty_table())
+    target = DataContext.get_current().target_max_block_size
+    blocks = max(ray_cpus(1),
+                 math.ceil(mat.size_bytes() / target) if target else 1)
+    if blocks < mat.num_blocks():
+        mat = mat.repartition(blocks)
+    return mat.sort(["conv_id", "turn_idx"])
+
+
 def _finish(extracted, out_dir, ordered, n_buckets, salt_turns=0):
-    """The extracted Dataset, globally sorted when ``ordered`` (the
-    job's one all-to-all); with ``out_dir``, written through the
-    shuffle-free ``checkpointed_write`` and its lineage returned."""
+    """The extracted Dataset, executed and globally sorted when
+    ``ordered`` (the job's one all-to-all, ``_sorted``), lazy when not;
+    with ``out_dir``, written through the shuffle-free
+    ``checkpointed_write`` and its lineage returned."""
     if ordered:
-        extracted = extracted.sort(["conv_id", "turn_idx"])
+        extracted = _sorted(extracted)
     if out_dir is not None:
         from ..state.checkpoint import checkpointed_write
         return checkpointed_write(extracted, out_dir, key="conv_id",
@@ -119,9 +151,11 @@ def run_extraction(sf_dir: str, out_dir: Optional[str] = None, *,
                    ordered: bool = False, n_buckets: int = 32,
                    salt_turns: int = 0):
     """The flagship run over the SYNTHESIZED corpus (documents ->
-    transcripts -> extraction). Returns the (lazy) extracted Dataset;
-    when ``out_dir`` is given, executes the checkpointed write and
-    returns the lineage metrics DataFrame instead."""
+    transcripts -> extraction). Returns the extracted Dataset: lazy,
+    or with ``ordered`` read, extracted and sorted over byte-sized
+    blocks (``_sorted``); when ``out_dir`` is given, executes the
+    checkpointed write and returns the lineage metrics DataFrame
+    instead."""
     extracted = extract_dataset(transcripts_dataset(sf_dir))
     return _finish(extracted, out_dir, ordered, n_buckets, salt_turns)
 
@@ -139,7 +173,10 @@ def run_extraction_from_parquet(transcripts_path, out_dir: Optional[str] = None,
     ``override_num_blocks``: pin the read's block count — one block
     per file measured 1.4-1.8x faster than Ray's sub-file split
     heuristic on ~1-2 MB text-heavy files (bench.py does this); leave
-    None for large files where sub-file splits are the point."""
+    None for large files where sub-file splits are the point. Returns
+    what ``run_extraction`` returns; ``ordered`` sorts over
+    max(Ray CPUs, ceil(bytes / target block size)) blocks, not over
+    the read's, when those are fewer."""
     ts = read_transcripts(transcripts_path, columns=INPUT_COLUMNS,
                           override_num_blocks=override_num_blocks)
     return _finish(extract_dataset(ts), out_dir, ordered, n_buckets,

@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 
 from .relational import (broadcast_join, distinct, grouped_agg,
-                         grouped_agg_ds, hash_join, read_table)
+                         grouped_agg_ds, hash_join, ray_cpus, read_table)
 
 # Money columns in the testdata are 2-decimal fixed point. Aggregating
 # doubles in parallel makes the result depend on summation order, and
@@ -241,8 +241,6 @@ def q14_promo_share(sf_dir: str) -> pd.DataFrame:
     li = read_table(sf_dir, "lineitem",
                     ["l_partkey", "l_shipdate", "l_extendedprice",
                      "l_discount"])
-    cpus = int(ray.cluster_resources().get("CPU", 4)) \
-        if ray.is_initialized() else 4
 
     class Prep:
         """Per-actor broadcast cache (the semi_join.Filter pattern:
@@ -266,7 +264,7 @@ def q14_promo_share(sf_dir: str) -> pd.DataFrame:
                 "total_e4": rev})
 
     g = grouped_agg(li.map_batches(Prep, batch_format="pandas",
-                                   concurrency=(1, max(1, cpus - 2))),
+                                   concurrency=(1, max(1, ray_cpus(4) - 2))),
                     ["k"],
                     {"promo_e4": ("sum", "promo_e4"),
                      "total_e4": ("sum", "total_e4")})

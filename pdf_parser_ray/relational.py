@@ -34,6 +34,14 @@ import pyarrow as pa
 
 # ------------------------------------------------------------------ helpers
 
+def ray_cpus(default: int) -> int:
+    """The Ray session's logical CPU count, ``default`` when no session
+    is up (plans built before ``ray.init`` keep their fixed size)."""
+    import ray
+    return int(ray.cluster_resources().get("CPU", default)) \
+        if ray.is_initialized() else default
+
+
 def read_table(sf_dir: str, name: str, columns: Optional[List[str]] = None,
                override_num_blocks: Optional[int] = None):
     """Pruned parquet read (columns pushed to the scan).
@@ -52,10 +60,7 @@ def read_table(sf_dir: str, name: str, columns: Optional[List[str]] = None,
         # block instead of cpus x 2 splinters, mid-size tables still fan
         # out across cores (at real scale many files drive parallelism
         # and this override is left unset)
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        override_num_blocks = max(1, min(4 * cpus,
+        override_num_blocks = max(1, min(4 * ray_cpus(8),
                                          os.path.getsize(path) >> 19))
     return rd.read_parquet(path, columns=columns,
                            override_num_blocks=override_num_blocks)
@@ -72,10 +77,7 @@ def stable_bucket_series(s: pd.Series, n_buckets: int) -> np.ndarray:
 
 
 def default_buckets() -> int:
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    return min(64, max(8, 2 * cpus))
+    return min(64, max(8, 2 * ray_cpus(8)))
 
 
 def bucketed_map_groups(ds, keys: List[str], fn, *, n_buckets: int = None,
@@ -354,14 +356,11 @@ class _EquiJoiner:
 
 def _broadcast_equi_join(probe, ref, *, on, how, probe_is_left,
                          all_names, probe_key_is_int):
-    import ray
     # size the pool to the cluster (leaving shuffle headroom); a hard
     # (1, 2) cap would throttle the big-side merge to 2 actors
-    cpus = int(ray.cluster_resources().get("CPU", 4)) \
-        if ray.is_initialized() else 4
     return probe.map_batches(
         _EquiJoiner, batch_format="pandas",
-        concurrency=(1, max(1, cpus - 2)),
+        concurrency=(1, max(1, ray_cpus(4) - 2)),
         fn_constructor_args=(ref, on, how, all_names, probe_is_left,
                              probe_key_is_int))
 
@@ -527,8 +526,6 @@ def semi_join(ds, key_set, on: str, *, anti: bool = False,
         "ship a Bloom filter of the keys (stages.sketches) or use a "
         "co-partitioned filter (stages.dedup._id_filter)")
     ref = ray.put(keys)
-    cpus = int(ray.cluster_resources().get("CPU", 4)) \
-        if ray.is_initialized() else 4
 
     class Filter:
         def __init__(self):
@@ -540,7 +537,7 @@ def semi_join(ds, key_set, on: str, *, anti: bool = False,
 
     return ds.map_batches(Filter, batch_format="pandas",
                           batch_size=batch_size,
-                          concurrency=(1, max(1, cpus - 2)))
+                          concurrency=(1, max(1, ray_cpus(4) - 2)))
 
 
 def anti_join(ds, key_set, on: str, **kw):

@@ -322,13 +322,11 @@ def transcripts_dataset(sf_dir: str, *, mega_every: int = 97,
     read -> synth -> downstream fuses into one task chain with no
     re-batching operator boundary."""
     import functools
-    import ray
     import ray.data as rd
 
     if override_num_blocks is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) \
-            if ray.is_initialized() else 8
-        override_num_blocks = cpus
+        from ..relational import ray_cpus
+        override_num_blocks = ray_cpus(8)
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"],
                            override_num_blocks=override_num_blocks)

@@ -3,9 +3,10 @@
 The traced run wraps engine functions by module and attribute name,
 replays input files through ``extract_batch`` and
 ``add_bucket_column``, and reads per-operator CPU from the stats the
-checkpointed write's ``Dataset.to_pandas`` leaves. A renamed or deleted
-name, or an operator layout the per-layer table cannot read, fails here
-rather than in the traced run.
+checkpointed write's ``Dataset.to_pandas`` leaves and from an ordered
+Dataset's stats summary. A renamed or deleted name, or an operator
+layout the per-layer table cannot read, fails here rather than in the
+traced run.
 """
 
 import importlib
@@ -19,18 +20,21 @@ _LAYOUT = ("#PAGE 612,792\n40,150,280,162|11|Times|gauche\n"
            "330,150,570,162|11|Times|droite")
 
 
-def _input_file(tmp_path):
-    """One small transcript file: layout, plain, null and #CORRUPT
-    turns over 40 conversations."""
+def _transcripts(n=160):
+    """Layout, plain, null and #CORRUPT turns over 40 conversations."""
     texts = [_LAYOUT, "plain words", None, "#CORRUPT"]
     tools = ["pdf_layout", "", "pdf_layout", "vision"]
-    n = 160
-    path = str(tmp_path / "transcripts.parquet")
-    pq.write_table(pa.table({
+    return pa.table({
         "conv_id": [f"conv-{i % 40:05d}" for i in range(n)],
         "turn_idx": pa.array([i // 40 for i in range(n)], pa.int32()),
         "text": [texts[i % 4] for i in range(n)],
-        "tool": [tools[i % 4] for i in range(n)]}), path)
+        "tool": [tools[i % 4] for i in range(n)]})
+
+
+def _input_file(tmp_path):
+    """One small transcript file."""
+    path = str(tmp_path / "transcripts.parquet")
+    pq.write_table(_transcripts(), path)
     return path
 
 
@@ -84,3 +88,26 @@ def test_checkpoint_operators_read_by_the_layer_table(ray_session,
     assert layers["extract.task_cpu_us"] > 0
     assert layers["extract.tasks"] == 1
     assert "checkpoint.shuffle_wall_s" not in layers
+
+
+def test_ordered_operators_read_by_the_layer_table(ray_session, tmp_path):
+    """An ordered pass over more read blocks than Ray CPUs (read +
+    extract, the coalescing repartition, the sort): the layer table
+    still finds the extract tasks and the sort."""
+    from pdf_parser_ray.pipelines.extraction import \
+        run_extraction_from_parquet
+
+    table, files = _transcripts(), 8
+    rows = table.num_rows // files
+    for i in range(files):
+        pq.write_table(table.slice(i * rows, rows),
+                       str(tmp_path / f"part-{i}.parquet"))
+    ds = run_extraction_from_parquet(str(tmp_path), ordered=True,
+                                     override_num_blocks=files)
+    batches = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    assert sum(b.num_rows for b in batches) == table.num_rows
+    layers = harness.operator_layers([ds._get_stats_summary()],
+                                     table.num_rows)
+    assert layers["extract.task_cpu_us"] > 0
+    assert layers["extract.tasks"] == files
+    assert layers["sort.cpu_us"] > 0

@@ -135,3 +135,85 @@ def test_mega_conversation_present(xs_table):
     counts = (xs_table.to_pandas().groupby("conv_id").size())
     assert counts.max() >= 100          # doc_id 0 is a mega-conv
     assert counts.median() <= 10
+
+
+def _ordered_run(path, n_blocks):
+    """(rows, stats text, blocks each sort stage produced) of an
+    ordered run over ``n_blocks`` read blocks."""
+    import re
+
+    from pdf_parser_ray.pipelines.extraction import \
+        run_extraction_from_parquet
+    ds = run_extraction_from_parquet(path, ordered=True,
+                                     override_num_blocks=n_blocks)
+    got, stats = ds.to_pandas(), ds.stats()
+    sort_blocks = re.findall(
+        r"(SortMap|SortReduce): \d+ tasks executed, (\d+) blocks produced",
+        stats)
+    return got, stats, {op: int(n) for op, n in sort_blocks}
+
+
+@pytest.fixture(scope="module")
+def sf_parquet(tmp_path_factory):
+    """The whole sf0.001 transcript table as one Parquet file."""
+    import pyarrow.parquet as pq
+    table = transcripts_table(SF_DIR)
+    path = str(tmp_path_factory.mktemp("ordered") / "transcripts.parquet")
+    pq.write_table(table, path)
+    return table, path
+
+
+def test_ordered_sort_coalesces_to_cpu_blocks(ray_session, sf_parquet):
+    """16 read blocks of ~3 MiB in all, 4 Ray CPUs: the sort runs on 4
+    blocks, and its rows equal the plain ``Dataset.sort`` over the 16
+    blocks row for row and the oracle per turn."""
+    from pdf_parser_ray.pipelines.extraction import extract_dataset
+    from pdf_parser_ray.sources.transcripts import read_transcripts
+    from pdf_parser_ray.stages.extract import INPUT_COLUMNS
+
+    table, path = sf_parquet
+    got, stats, sort_blocks = _ordered_run(path, 16)
+    assert "Repartition" in stats
+    assert sort_blocks == {"SortMap": 4, "SortReduce": 4}, stats
+    plain = (extract_dataset(read_transcripts(path, columns=INPUT_COLUMNS,
+                                              override_num_blocks=16))
+             .sort(["conv_id", "turn_idx"]).to_pandas())
+    pd.testing.assert_frame_equal(got, plain)
+
+    want = _oracle_frame(table)
+    assert len(got) == len(want) > 3000
+    for col in ("conv_id", "turn_idx", "extracted_text", "metadata_json"):
+        assert (got[col] == want[col]).all(), col
+
+
+def test_ordered_sort_keeps_fewer_read_blocks(ray_session, sf_parquet):
+    """No more read blocks than Ray CPUs: no Repartition runs and the
+    sort runs on the read's blocks."""
+    _, path = sf_parquet
+    for n_blocks in (1, 4):
+        got, stats, sort_blocks = _ordered_run(path, n_blocks)
+        assert "Repartition" not in stats
+        assert sort_blocks == {"SortMap": n_blocks,
+                               "SortReduce": n_blocks}, stats
+        assert got[["conv_id", "turn_idx"]].apply(tuple, axis=1) \
+            .is_monotonic_increasing
+
+
+def test_ordered_empty_input_keeps_the_schema(ray_session, tmp_path):
+    """A 0-row transcript file: the ordered result has no rows and the
+    extracted schema. (``Dataset.to_pandas`` skips 0-row blocks, so it
+    still returns a frame with no columns; the blocks carry them.)"""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from pdf_parser_ray.pipelines.extraction import \
+        run_extraction_from_parquet
+    from pdf_parser_ray.stages.extract import EXTRACTED_SCHEMA
+
+    path = str(tmp_path / "empty.parquet")
+    pq.write_table(transcripts_table(SF_DIR, limit_docs=1).slice(0, 0), path)
+    ds = run_extraction_from_parquet(path, ordered=True)
+    assert ds.schema().names == EXTRACTED_SCHEMA.names
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.num_rows == 0 and got.schema == EXTRACTED_SCHEMA
