@@ -17,7 +17,8 @@ count, while each task costs tens of ms of session CPU whatever it
 holds. So ``ordered`` executes read + extract at the sort's barrier
 (``materialize``), coalesces the blocks to max(Ray CPUs, ceil(bytes /
 ``DataContext.target_max_block_size``)) with the split ``repartition``
-(adjacent blocks joined, no shuffle) when that is fewer, then sorts.
+(adjacent blocks joined, no shuffle) when that is fewer, then sorts
+and materializes the sorted blocks, which frees the input blocks.
 
 Skew handling: a cheap pre-count (groupby conv_id count on a projected
 dataset) identifies mega-conversations; the narrow extraction stage is
@@ -110,26 +111,22 @@ def _sorted(extracted):
     """``extracted`` executed and globally sorted on (conv_id,
     turn_idx) over max(Ray CPUs, ceil(bytes / target block size))
     blocks (see the module docstring); its read's blocks when those are
-    fewer. The executed blocks stay pinned until the returned Dataset
-    is dropped. No rows: an empty Dataset that keeps the extracted
-    schema."""
+    fewer. The sorted blocks are materialized too, so the executed
+    input blocks are freed when this returns, not pinned by the
+    result."""
     import math
 
-    import ray.data as rd
     from ray.data import DataContext
 
     from ..relational import ray_cpus
-    from ..stages.extract import EXTRACTED_SCHEMA
 
     mat = extracted.materialize()
-    if mat.count() == 0:
-        return rd.from_arrow(EXTRACTED_SCHEMA.empty_table())
     target = DataContext.get_current().target_max_block_size
     blocks = max(ray_cpus(1),
                  math.ceil(mat.size_bytes() / target) if target else 1)
     if blocks < mat.num_blocks():
         mat = mat.repartition(blocks)
-    return mat.sort(["conv_id", "turn_idx"])
+    return mat.sort(["conv_id", "turn_idx"]).materialize()
 
 
 def _finish(extracted, out_dir, ordered, n_buckets, salt_turns=0):

@@ -362,30 +362,20 @@ def _stage_parts(batch: pa.Table, *, out_dir: str, key: str,
 
 def _conversations(sdir: str, parts: List[dict]) -> int:
     """Distinct conv_ids over a bucket's parts that hold any. Each
-    part's count and [min, max] are exact. Sorted by range, the parts
-    fall into runs of interleaving ranges (a part whose min is below
-    the run's max so far joins the run); a run of one part counts as
-    its part does, only a longer run's parts' conv_id columns are read,
-    and consecutive runs share at most their touching endpoint."""
-    runs: List[list] = []      # [parts, max conv_id]
+    part's count and [min, max] are exact, so while the parts' ranges at
+    most touch, it is the sum of the per-part counts less the shared
+    endpoints; once two ranges interleave, the parts' conv_id columns
+    are read."""
+    total, high = 0, None
     for p in sorted(parts, key=lambda p: (p["conv_id_min"],
                                           p["conv_id_max"])):
-        if runs and p["conv_id_min"] < runs[-1][1]:
-            runs[-1][0].append(p)
-            runs[-1][1] = max(runs[-1][1], p["conv_id_max"])
-        else:
-            runs.append([[p], p["conv_id_max"]])
-    total, high = 0, None
-    for run, run_high in runs:
-        if len(run) == 1:
-            total += run[0]["conversations"]
-        else:
-            total += pc.count_distinct(pa.chunked_array(
+        if high is not None and p["conv_id_min"] < high:
+            return pc.count_distinct(pa.chunked_array(
                 pq.read_table(os.path.join(sdir, q["part"]),
                               columns=["conv_id"]).column(0)
-                for q in run)).as_py()
-        total -= run[0]["conv_id_min"] == high
-        high = run_high
+                for q in parts)).as_py()
+        total += p["conversations"] - (p["conv_id_min"] == high)
+        high = p["conv_id_max"]
     return total
 
 

@@ -231,29 +231,6 @@ def test_conversations_exact_over_parts(tmp_path, monkeypatch):
                                                           max(convs))
 
 
-def test_conversations_reads_only_interleaving_parts(tmp_path,
-                                                     monkeypatch):
-    """Only the parts of a run of interleaving ranges are read; the
-    runs around it, touching it or each other, count from their
-    records."""
-    from pdf_parser_ray.state import checkpoint
-
-    reads, real = [], checkpoint.pq.read_table
-
-    def counted(path, **kw):
-        table = real(path, **kw)
-        reads.append(table.column("conv_id").to_pylist())
-        return table
-
-    monkeypatch.setattr(checkpoint.pq, "read_table", counted)
-    blocks = [["a", "b", "c"], ["c", "d"],        # touch
-              ["e", "g"], ["f", "h"], ["e", "f"],  # interleave
-              ["h", "i"], ["i"]]                  # touch the run, chain
-    [meta] = _write([_keys(b) for b in blocks], str(tmp_path))
-    assert meta["conversations"] == len({c for b in blocks for c in b})
-    assert sorted(reads) == [["e", "f"], ["e", "g"], ["f", "h"]]
-
-
 def test_orphan_part_of_a_retried_attempt_is_not_committed(tmp_path):
     """A task attempt that staged its parts and then died is retried
     under new part names; only the parts the collected records list

@@ -153,6 +153,14 @@ def _ordered_run(path, n_blocks):
     return got, stats, {op: int(n) for op, n in sort_blocks}
 
 
+def _extracted(path, n_blocks):
+    from pdf_parser_ray.pipelines.extraction import extract_dataset
+    from pdf_parser_ray.sources.transcripts import read_transcripts
+    from pdf_parser_ray.stages.extract import INPUT_COLUMNS
+    return extract_dataset(read_transcripts(path, columns=INPUT_COLUMNS,
+                                            override_num_blocks=n_blocks))
+
+
 @pytest.fixture(scope="module")
 def sf_parquet(tmp_path_factory):
     """The whole sf0.001 transcript table as one Parquet file."""
@@ -163,27 +171,59 @@ def sf_parquet(tmp_path_factory):
     return table, path
 
 
-def test_ordered_sort_coalesces_to_cpu_blocks(ray_session, sf_parquet):
+@pytest.fixture(scope="module")
+def plain_sorted(ray_session, sf_parquet):
+    """The plain ``Dataset.sort`` over 16 read blocks of sf0.001."""
+    _, path = sf_parquet
+    return _extracted(path, 16).sort(["conv_id", "turn_idx"]).to_pandas()
+
+
+def test_ordered_sort_coalesces_to_cpu_blocks(ray_session, sf_parquet,
+                                              plain_sorted):
     """16 read blocks of ~3 MiB in all, 4 Ray CPUs: the sort runs on 4
     blocks, and its rows equal the plain ``Dataset.sort`` over the 16
     blocks row for row and the oracle per turn."""
-    from pdf_parser_ray.pipelines.extraction import extract_dataset
-    from pdf_parser_ray.sources.transcripts import read_transcripts
-    from pdf_parser_ray.stages.extract import INPUT_COLUMNS
-
     table, path = sf_parquet
     got, stats, sort_blocks = _ordered_run(path, 16)
     assert "Repartition" in stats
     assert sort_blocks == {"SortMap": 4, "SortReduce": 4}, stats
-    plain = (extract_dataset(read_transcripts(path, columns=INPUT_COLUMNS,
-                                              override_num_blocks=16))
-             .sort(["conv_id", "turn_idx"]).to_pandas())
-    pd.testing.assert_frame_equal(got, plain)
+    pd.testing.assert_frame_equal(got, plain_sorted)
 
     want = _oracle_frame(table)
     assert len(got) == len(want) > 3000
     for col in ("conv_id", "turn_idx", "extracted_text", "metadata_json"):
         assert (got[col] == want[col]).all(), col
+
+
+@pytest.mark.parametrize("target", [400 * 1024, None],
+                         ids=["target_400k", "no_target"])
+def test_ordered_sort_sized_from_bytes(ray_session, sf_parquet,
+                                       plain_sorted, target):
+    """The byte term of the sizing. With the target block size lowered
+    to 400 KiB, the ~3 MiB of extracted turns sort on ceil(bytes /
+    target) blocks: more than the 4 Ray CPUs, fewer than the read's.
+    With no target (None: blocks are not split), on one block per CPU.
+    The rows equal the plain sort either way."""
+    import math
+
+    from ray.data import DataContext
+
+    _, path = sf_parquet
+    ctx = DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = target
+    try:
+        executed = _extracted(path, 16).materialize()
+        got, stats, sort_blocks = _ordered_run(path, 16)
+    finally:
+        ctx.target_max_block_size = saved
+    blocks = 4
+    if target:
+        blocks = math.ceil(executed.size_bytes() / target)
+        assert 4 < blocks < executed.num_blocks()
+    assert "Repartition" in stats
+    assert sort_blocks == {"SortMap": blocks, "SortReduce": blocks}, stats
+    pd.testing.assert_frame_equal(got, plain_sorted)
 
 
 def test_ordered_sort_keeps_fewer_read_blocks(ray_session, sf_parquet):
@@ -194,26 +234,42 @@ def test_ordered_sort_keeps_fewer_read_blocks(ray_session, sf_parquet):
         got, stats, sort_blocks = _ordered_run(path, n_blocks)
         assert "Repartition" not in stats
         assert sort_blocks == {"SortMap": n_blocks,
-                               "SortReduce": n_blocks}, stats
+                              "SortReduce": n_blocks}, stats
         assert got[["conv_id", "turn_idx"]].apply(tuple, axis=1) \
             .is_monotonic_increasing
 
 
-def test_ordered_empty_input_keeps_the_schema(ray_session, tmp_path):
-    """A 0-row transcript file: the ordered result has no rows and the
-    extracted schema. (``Dataset.to_pandas`` skips 0-row blocks, so it
-    still returns a frame with no columns; the blocks carry them.)"""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+def test_ordered_run_releases_its_executed_input(ray_session, sf_parquet,
+                                                 monkeypatch):
+    """The ordered result pins only the sorted blocks: once the run
+    returns, no reference holds the blocks read + extract executed for
+    the sort's barrier."""
+    import gc
+
     import ray
+    from ray.data import Dataset
 
     from pdf_parser_ray.pipelines.extraction import \
         run_extraction_from_parquet
-    from pdf_parser_ray.stages.extract import EXTRACTED_SCHEMA
 
-    path = str(tmp_path / "empty.parquet")
-    pq.write_table(transcripts_table(SF_DIR, limit_docs=1).slice(0, 0), path)
-    ds = run_extraction_from_parquet(path, ordered=True)
-    assert ds.schema().names == EXTRACTED_SCHEMA.names
-    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
-    assert got.num_rows == 0 and got.schema == EXTRACTED_SCHEMA
+    made, real = [], Dataset.materialize
+
+    def recorded(self):
+        out = real(self)
+        made.append({ref.hex() for bundle in out.iter_internal_ref_bundles()
+                     for ref, _ in bundle.blocks})
+        return out
+
+    monkeypatch.setattr(Dataset, "materialize", recorded)
+    _, path = sf_parquet
+    ds = run_extraction_from_parquet(path, ordered=True,
+                                     override_num_blocks=16)
+    gc.collect()
+    counts = (ray._private.worker.global_worker.core_worker
+              .get_all_reference_counts())
+    held = {k.decode() if isinstance(k, bytes) else k
+            for k, c in counts.items() if c["local"] or c["submitted"]}
+    executed, result = made
+    assert len(executed) == 16 and not executed & held
+    assert len(result) == 4 and result <= held
+    assert ds.count() > 3000
