@@ -1,7 +1,9 @@
 """Flagship pipeline: streaming main-content extraction over transcripts.
 
 One path: a transcript Dataset (synthesized by ``run_extraction``, read
-by ``run_extraction_from_parquet`` through ``read_transcripts``) ->
+by ``run_extraction_from_parquet`` through ``read_transcripts``, whose
+Parquet read is planned from a file listing: no footer read and no Ray
+task until the pipeline executes) ->
 ``extract_dataset``, a single stateless ``map_batches(extract_batch)``
 fused with the read -> [optional] stable (conv_id, turn_idx) sort ->
 [optional] checkpointed bucketed write with lineage sidecars. The
@@ -167,10 +169,15 @@ def run_extraction_from_parquet(transcripts_path, out_dir: Optional[str] = None,
     through ``read_transcripts``, pruned to the kernel's
     INPUT_COLUMNS; for jsonl/csv exports, extract
     ``read_transcripts(path, format=...)`` with ``extract_dataset``.
-    ``override_num_blocks``: pin the read's block count — one block
-    per file measured 1.4-1.8x faster than Ray's sub-file split
-    heuristic on ~1-2 MB text-heavy files (bench.py does this); leave
-    None for large files where sub-file splits are the point. Returns
+    The read is planned from the file listing: contiguous files are
+    grouped into at most ``override_num_blocks`` read tasks, each
+    reading whole files row group by row group. ``override_num_blocks``:
+    pin the read's block count — one block per file measured 1.4-1.8x
+    faster than Ray's own choice on ~1-2 MB text-heavy files (bench.py
+    pins it). Left None, Ray asks for at least 2 x its CPUs blocks
+    (more for large inputs, by the listed file bytes) and splits each
+    task's output to reach them: the point for a few large files.
+    Returns
     what ``run_extraction`` returns; ``ordered`` sorts over
     max(Ray CPUs, ceil(bytes / target block size)) blocks, not over
     the read's, when those are fewer."""

@@ -24,6 +24,8 @@ from typing import Dict, List
 
 import numpy as np
 import pyarrow as pa
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 # 2025-01-01 00:00:00 UTC in microseconds
 _EPOCH_US = 1_735_689_600_000_000
@@ -368,13 +370,125 @@ def transcripts_table(sf_dir: str, *, limit_docs: int | None = None,
     return batch
 
 
+class TranscriptParquetSource(Datasource):
+    """Transcript Parquet files, planned from a file listing alone.
+
+    Planning resolves ``paths`` as ``read_parquet`` does (so ``s3://``
+    and other filesystems resolve), lists directories recursively,
+    skips files under a basename that starts with ``.`` or ``_``
+    (``_SUCCESS``, ``.crc``, staging directories), as pyarrow's dataset
+    discovery does, and takes each file's size from the listing. It
+    reads no footer and starts no Ray task: ``read_parquet`` prefetches
+    every footer and samples fragments in remote tasks on every call,
+    and the engine uses neither (it pins or derives its block count
+    and normalizes the schema itself). Directories list in sorted path
+    order and a list of paths keeps its order, so the files, their
+    grouping into read tasks and the rows match ``read_parquet``'s.
+
+    Each read task reads its files one row group at a time, projected
+    to the ``columns`` each file holds, and yields the row groups
+    unchanged: the caller's ``normalize`` pass casts them and names
+    the columns a file lacks.
+    """
+
+    def __init__(self, paths, columns: List[str]):
+        from ray.data._internal.util import _is_local_scheme
+        from ray.data.datasource.path_util import \
+            _resolve_paths_and_filesystem
+
+        # only "local://" paths pin the read to this node, as in
+        # read_parquet: a plain path may name a shared mount
+        self._distributed = not _is_local_scheme(paths)
+        resolved, self._fs = _resolve_paths_and_filesystem(paths)
+        self._files = _list_files(self._fs, resolved)
+        self._columns = list(columns)
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    @property
+    def supports_distributed_reads(self) -> bool:
+        return self._distributed
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(size for _, size in self._files)
+
+    def get_read_tasks(self, parallelism: int) -> List[ReadTask]:
+        """Contiguous groups of files (``np.array_split``, as
+        ``read_parquet`` groups them), at most ``parallelism``."""
+        fs, columns = self._fs, self._columns
+        tasks = []
+        for group in np.array_split(np.arange(len(self._files)),
+                                    parallelism):
+            if not len(group):
+                continue
+            files = [self._files[i][0] for i in group]
+            meta = BlockMetadata(
+                num_rows=None,
+                size_bytes=sum(self._files[i][1] for i in group),
+                input_files=files, exec_stats=None)
+            tasks.append(ReadTask(
+                lambda files=files: _read_files(fs, files, columns), meta))
+        return tasks
+
+
+def _list_files(fs, paths: List[str]) -> List[tuple]:
+    """[(path, size)] of the Parquet files ``paths`` name."""
+    from pyarrow.fs import FileSelector, FileType
+
+    def hidden(rel: str) -> bool:
+        return any(part.startswith((".", "_")) for part in rel.split("/"))
+
+    out = []
+    for info in fs.get_file_info(paths):
+        if info.type == FileType.File:
+            out.append((info.path, info.size))
+        elif info.type == FileType.Directory:
+            base = info.path.rstrip("/") + "/"
+            out.extend(sorted(
+                (f.path, f.size)
+                for f in fs.get_file_info(FileSelector(base, recursive=True))
+                if f.type == FileType.File
+                and not hidden(f.path[len(base):])))
+        else:
+            raise FileNotFoundError(f"transcript path {info.path!r} "
+                                    "does not exist")
+    return out
+
+
+def _read_files(fs, files: List[str], columns: List[str]):
+    """One read task: each file's row groups, projected to the
+    ``columns`` the file holds."""
+    import pyarrow.parquet as pq
+
+    for path in files:
+        try:
+            with fs.open_input_file(path) as f:
+                pf = pq.ParquetFile(f)
+                names = set(pf.schema_arrow.names)
+                cols = [c for c in columns if c in names]
+                for i in range(pf.num_row_groups):
+                    t = pf.read_row_group(i, columns=cols,
+                                          use_threads=False)
+                    if t.num_rows:
+                        yield t
+        except (OSError, pa.ArrowException) as e:
+            raise OSError(f"cannot read transcript file {path}: {e}") \
+                from e
+
+
 def read_transcripts(path, *, format: str = "parquet",
                      columns: List[str] | None = None,
                      override_num_blocks: int | None = None):
     """Format-dispatching transcript reader -> canonical-schema Dataset.
 
     ``parquet`` is the scale path (columnar: ``columns`` prunes at the
-    read so only the requested bytes leave storage). ``jsonl`` and
+    read so only the requested bytes leave storage). It plans from a
+    file listing alone (``TranscriptParquetSource``): no footer read and
+    no Ray task before execution, where ``read_parquet`` runs at least
+    two sampling tasks and, above 24 files, a footer task per 6 files.
+    Unless ``override_num_blocks`` pins it, Ray sizes
+    the read from the listed file bytes and its CPUs. ``jsonl`` and
     ``csv`` are INGEST paths for row-oriented exports of the same
     table: neither format can prune columns at the read, and CSV needs
     the parser told that quoted values carry embedded newlines
@@ -384,12 +498,18 @@ def read_transcripts(path, *, format: str = "parquet",
     Arrow cast pass that fuses with the read, so every downstream
     stage — extraction, dedup, boilerplate strip — is source-agnostic:
     jsonl/csv type drift (int64 turn_idx, ISO-string ts) never reaches
-    a kernel.
+    a kernel. ``columns`` outside TRANSCRIPT_SCHEMA raise ValueError
+    before anything is read; an input that lacks a requested column
+    raises "missing columns" when it is read.
     """
     import ray.data as rd
 
-    cols = list(columns) if columns is not None else \
-        [f.name for f in TRANSCRIPT_SCHEMA]
+    want = {f.name: f.type for f in TRANSCRIPT_SCHEMA}
+    cols = list(columns) if columns is not None else list(want)
+    unknown = [c for c in cols if c not in want]
+    if unknown:
+        raise ValueError(f"unknown transcript columns {unknown}; "
+                         f"expected a subset of {list(want)}")
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
@@ -399,7 +519,7 @@ def read_transcripts(path, *, format: str = "parquet",
         # pandas round-trip), and the cast pass also drops the
         # writer's pandas schema metadata (same reason
         # transcripts_dataset strips it)
-        ds = rd.read_parquet(path, columns=cols, **kw)
+        ds = rd.read_datasource(TranscriptParquetSource(path, cols), **kw)
     elif format == "jsonl":
         ds = rd.read_json(path, **kw)
     elif format == "csv":
@@ -411,7 +531,6 @@ def read_transcripts(path, *, format: str = "parquet",
     else:
         raise ValueError(f"unknown transcript format {format!r}; "
                          "expected parquet, jsonl, or csv")
-    want = {f.name: f.type for f in TRANSCRIPT_SCHEMA}
 
     def normalize(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

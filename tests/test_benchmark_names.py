@@ -111,3 +111,27 @@ def test_ordered_operators_read_by_the_layer_table(ray_session, tmp_path):
     assert layers["extract.task_cpu_us"] > 0
     assert layers["extract.tasks"] == files
     assert layers["sort.cpu_us"] > 0
+
+
+def test_streamed_operators_read_by_the_layer_table(ray_session, tmp_path):
+    """A streamed pass over 4 files at 4 CPUs: the layer table finds
+    the read + extract operator (its name starts with ReadParquet) and
+    every key the traced run reads from it."""
+    from pdf_parser_ray.pipelines.extraction import \
+        run_extraction_from_parquet
+
+    table, files = _transcripts(), 4
+    rows = table.num_rows // files
+    for i in range(files):
+        pq.write_table(table.slice(i * rows, rows),
+                       str(tmp_path / f"part-{i}.parquet"))
+    ds = run_extraction_from_parquet(str(tmp_path),
+                                     override_num_blocks=files)
+    batches = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    assert sum(b.num_rows for b in batches) == table.num_rows
+    layers = harness.operator_layers([ds._get_stats_summary()],
+                                     table.num_rows)
+    for key in ("extract.task_cpu_us", "extract.peak_heap_mb",
+                "extract.tasks", "extract.bytes_out"):
+        assert key in layers, key
+    assert layers["extract.tasks"] == files

@@ -117,3 +117,108 @@ def test_read_transcripts_gzip_jsonl(ray_session, tmp_path):
     pd.testing.assert_frame_equal(
         pa_.sort_values(key).reset_index(drop=True),
         pb.sort_values(key).reset_index(drop=True))
+
+
+def test_read_transcripts_rejects_unknown_columns(tmp_path):
+    """Names outside TRANSCRIPT_SCHEMA fail at planning, for every
+    format, before any path is touched (the path does not exist)."""
+    import pytest
+
+    from pdf_parser_ray.sources.transcripts import read_transcripts
+
+    for fmt in ("parquet", "jsonl", "csv"):
+        with pytest.raises(ValueError,
+                           match=r"unknown transcript columns \['bogus'\]"):
+            read_transcripts(str(tmp_path / "absent"), format=fmt,
+                             columns=["conv_id", "bogus"])
+
+
+def test_listing_source_reads_what_read_parquet_reads(ray_session,
+                                                      tmp_path):
+    """The listing source skips what pyarrow's discovery skips
+    (basenames starting with '.' or '_', at any depth), recurses into
+    subdirectories, and reads the same rows in the same order as
+    ``read_parquet`` for a directory, a file and a list of files."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from pdf_parser_ray.sources.transcripts import (read_transcripts,
+                                                    transcripts_table)
+    from pdf_parser_ray.stages.extract import INPUT_COLUMNS
+
+    t = transcripts_table("/root/testdata/sf0.001", limit_docs=60)
+    d = tmp_path / "in"
+    for sub in ("sub/deeper", "_staging", ".hidden_dir"):
+        (d / sub).mkdir(parents=True)
+    parts = ["b.parquet", "a.parquet", "sub/c.parquet",
+             "sub/deeper/d.parquet", "sub_x.parquet"]
+    rows = t.num_rows // len(parts)
+    for i, name in enumerate(parts):
+        # several row groups in one file: the read goes by row group
+        pq.write_table(t.slice(i * rows, rows), str(d / name),
+                       row_group_size=max(1, rows // 3))
+    for skipped in ("_staging/e.parquet", ".hidden_dir/e.parquet",
+                    ".hidden.parquet"):
+        pq.write_table(t.slice(0, 5), str(d / skipped))
+    (d / "_SUCCESS").write_bytes(b"")
+    (d / "_DONE").write_bytes(b"done")
+
+    ctx = DataContext.get_current()
+    was = ctx.execution_options.preserve_order
+    ctx.execution_options.preserve_order = True
+    try:
+        for path in (str(d), str(d / "sub/c.parquet"),
+                     [str(d / "sub_x.parquet"), str(d / "a.parquet"),
+                      str(d / "sub/deeper/d.parquet")]):
+            want = rd.read_parquet(path, columns=INPUT_COLUMNS).take_all()
+            got = read_transcripts(path, columns=INPUT_COLUMNS).take_all()
+            assert len(want) > 0
+            assert got == want, path
+    finally:
+        ctx.execution_options.preserve_order = was
+
+
+def test_listing_source_plans_without_reading(ray_session, tmp_path):
+    """Planning reads no file content: a file of garbage bytes plans,
+    and fails only at execution, naming its path."""
+    import pytest
+
+    from pdf_parser_ray.sources.transcripts import read_transcripts
+
+    bad = tmp_path / "in" / "garbage.parquet"
+    bad.parent.mkdir()
+    bad.write_bytes(b"not a parquet file " * 64)
+    ds = read_transcripts(str(bad.parent))
+    with pytest.raises(Exception, match=str(bad)):
+        ds.materialize()
+
+
+def test_listing_source_block_count(ray_session, tmp_path):
+    """One sf0.001 file at 4 CPUs: 16 blocks when pinned to 16, and
+    Ray's own 2 x CPUs (8) when not pinned — both read_parquet's
+    counts."""
+    import pyarrow.parquet as pq
+
+    from pdf_parser_ray.sources.transcripts import (read_transcripts,
+                                                    transcripts_table)
+
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(transcripts_table("/root/testdata/sf0.001"), path)
+    assert read_transcripts(path, override_num_blocks=16) \
+        .materialize().num_blocks() == 16
+    assert read_transcripts(path).materialize().num_blocks() == 8
+
+
+def test_parquet_without_text_raises_missing_columns(ray_session,
+                                                     tmp_path):
+    import pytest
+
+    from pdf_parser_ray.sources.transcripts import read_transcripts
+    from pdf_parser_ray.stages.extract import INPUT_COLUMNS
+
+    pd.DataFrame({"conv_id": ["a"], "turn_idx": [0], "tool": [""]}) \
+        .to_parquet(tmp_path / "t.parquet", index=False)
+    with pytest.raises(Exception, match=r"missing columns \['text'\]"):
+        read_transcripts(str(tmp_path / "t.parquet"),
+                         columns=INPUT_COLUMNS).materialize()
