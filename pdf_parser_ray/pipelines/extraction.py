@@ -41,23 +41,6 @@ from ..sources.transcripts import read_transcripts, transcripts_dataset
 from ..stages.extract import INPUT_COLUMNS, extract_batch
 
 
-def pool_size(reserve: int = 2, cap: int | None = None) -> tuple:
-    """Autoscaling (min, max) for an actor pool that always leaves
-    ``reserve`` CPUs for the read/shuffle/write stages — a pool that
-    reserves every CPU deadlocks a downstream all-to-all (observed at
-    num_cpus=4: pool of 4 starves the groupby shuffle indefinitely)."""
-    from ..relational import ray_cpus
-    hi = max(1, ray_cpus(4) - reserve)
-    if cap is not None:
-        hi = min(hi, cap)
-    # min close to max: the autoscaling ramp is too slow for short jobs
-    # (observed: a (1, 28) pool reached ~8 actors in a 15 s run, flat
-    # 8->32-cpu scaling); the reserve above already guarantees the
-    # shuffle/read stages can't be starved even at min == max.
-    lo = max(1, hi // 2)
-    return (lo, hi)
-
-
 def extract_dataset(transcripts):
     """transcript Dataset -> extracted-turn Dataset (narrow, streaming).
 

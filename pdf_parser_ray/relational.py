@@ -42,6 +42,34 @@ def ray_cpus(default: int) -> int:
         if ray.is_initialized() else default
 
 
+# CPUs every actor pool leaves to the read/shuffle/write stages: a pool
+# that holds every CPU deadlocks a downstream all-to-all (observed at
+# num_cpus=4: a pool of 4 starves the groupby shuffle indefinitely).
+_POOL_RESERVE = 2
+
+
+def pool_size() -> tuple:
+    """Autoscaling (min, max) for an actor pool that leaves
+    ``_POOL_RESERVE`` CPUs to the other stages."""
+    hi = max(1, ray_cpus(4) - _POOL_RESERVE)
+    # min close to max: the autoscaling ramp is too slow for short jobs
+    # (observed: a (1, 28) pool reached ~8 actors in a 15 s run, flat
+    # 8->32-cpu scaling); the reserve above already guarantees the
+    # shuffle/read stages can't be starved even at min == max.
+    return (max(1, hi // 2), hi)
+
+
+def pool_actor_cpus() -> Optional[float]:
+    """CPU request of one pool actor: Ray Data's default (one CPU)
+    above ``_POOL_RESERVE`` CPUs. On a smaller host one actor per pool
+    already holds a whole CPU, so two chained pools (``hash_join``
+    after ``hash_join``) hold every CPU and the tasks feeding them never
+    run; there each actor asks for (CPUs - 1) / 2, which leaves one
+    whole CPU to those tasks: 0.5 on 2 CPUs, none on 1."""
+    cpus = ray_cpus(4)
+    return None if cpus > _POOL_RESERVE else (cpus - 1) / 2
+
+
 def read_table(sf_dir: str, name: str, columns: Optional[List[str]] = None,
                override_num_blocks: Optional[int] = None):
     """Pruned parquet read (columns pushed to the scan).
@@ -360,7 +388,7 @@ def _broadcast_equi_join(probe, ref, *, on, how, probe_is_left,
     # (1, 2) cap would throttle the big-side merge to 2 actors
     return probe.map_batches(
         _EquiJoiner, batch_format="pandas",
-        concurrency=(1, max(1, ray_cpus(4) - 2)),
+        concurrency=(1, pool_size()[1]), num_cpus=pool_actor_cpus(),
         fn_constructor_args=(ref, on, how, all_names, probe_is_left,
                              probe_key_is_int))
 
@@ -537,7 +565,8 @@ def semi_join(ds, key_set, on: str, *, anti: bool = False,
 
     return ds.map_batches(Filter, batch_format="pandas",
                           batch_size=batch_size,
-                          concurrency=(1, max(1, ray_cpus(4) - 2)))
+                          concurrency=(1, pool_size()[1]),
+                          num_cpus=pool_actor_cpus())
 
 
 def anti_join(ds, key_set, on: str, **kw):

@@ -245,19 +245,23 @@ def _payload_for(rng: random.Random, fam: int, words: List[str],
     return "pdf_layout", "#PAGE 612.0,792.0\ngarbage without pipes\nalso|not|enough"
 
 
-def turns_for_doc(doc_id: int, text: str, *,
-                  mega_every: int = 97, mega_turns: int = 120) -> List[Dict]:
+# every _MEGA_EVERY-th document becomes a mega-conversation of
+# _MEGA_TURNS turns (~20-40x the median) to exercise skew salting
+_MEGA_EVERY = 97
+_MEGA_TURNS = 120
+
+
+def turns_for_doc(doc_id: int, text: str) -> List[Dict]:
     """All transcript rows for one document. Pure and deterministic.
 
-    Every ``mega_every``-th document becomes a mega-conversation
-    (``mega_turns`` turns, ~20-40x the median) to exercise skew salting.
+    Every ``_MEGA_EVERY``-th document is a mega-conversation.
     Rows are emitted in a seeded shuffled order: physical order must
     never be relied on (FIXTURES.md edge cases).
     """
     rng = random.Random(doc_id * 1_000_003 + 17)
     words = (text or "").split()
-    is_mega = mega_every > 0 and doc_id % mega_every == 0
-    n_turns = mega_turns if is_mega else 3 + (doc_id % 6)
+    n_turns = _MEGA_TURNS if doc_id % _MEGA_EVERY == 0 \
+        else 3 + (doc_id % 6)
     conv_id = f"conv-{doc_id:08d}"
     rows = []
     for turn_idx in range(n_turns):
@@ -281,7 +285,7 @@ def turns_for_doc(doc_id: int, text: str, *,
     return rows
 
 
-def synth_batch(batch: pa.Table, **kwargs) -> pa.Table:
+def synth_batch(batch: pa.Table) -> pa.Table:
     """map_batches body: documents(doc_id, text) -> transcript rows.
 
     A flat map (one doc -> many turns); returns Arrow directly so the
@@ -291,7 +295,7 @@ def synth_batch(batch: pa.Table, **kwargs) -> pa.Table:
     texts = batch.column("text").to_pylist()
     cols: Dict[str, list] = {name: [] for name in TRANSCRIPT_SCHEMA.names}
     for doc_id, text in zip(doc_ids, texts):
-        for row in turns_for_doc(int(doc_id), text, **kwargs):
+        for row in turns_for_doc(int(doc_id), text):
             for k in cols:
                 cols[k].append(row[k])
     arrays = [
@@ -305,9 +309,7 @@ def synth_batch(batch: pa.Table, **kwargs) -> pa.Table:
     return pa.Table.from_arrays(arrays, schema=TRANSCRIPT_SCHEMA)
 
 
-def transcripts_dataset(sf_dir: str, *, mega_every: int = 97,
-                        mega_turns: int = 120,
-                        override_num_blocks: int | None = None):
+def transcripts_dataset(sf_dir: str):
     """documents.parquet -> lazy transcript Dataset (column-pruned read).
 
     The documents read is the fan-out driver for the whole flagship
@@ -323,27 +325,20 @@ def transcripts_dataset(sf_dir: str, *, mega_every: int = 97,
     is folded INTO the synth function and batch_size stays None so
     read -> synth -> downstream fuses into one task chain with no
     re-batching operator boundary."""
-    import functools
     import ray.data as rd
 
-    if override_num_blocks is None:
-        from ..relational import ray_cpus
-        override_num_blocks = ray_cpus(8)
+    from ..relational import ray_cpus
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"],
-                           override_num_blocks=override_num_blocks)
-    fn = synth_batch if (mega_every == 97 and mega_turns == 120) else \
-        functools.partial(synth_batch, mega_every=mega_every,
-                          mega_turns=mega_turns)
+                           override_num_blocks=ray_cpus(8))
 
     def synth_clean(t):
-        return fn(t.replace_schema_metadata(None))
+        return synth_batch(t.replace_schema_metadata(None))
 
     return docs.map_batches(synth_clean, batch_format="pyarrow")
 
 
 def transcripts_table(sf_dir: str, *, limit_docs: int | None = None,
-                      mega_every: int = 97, mega_turns: int = 120,
                       with_duplicates: bool = False) -> pa.Table:
     """Driver/test-side synthesis without Ray (small tiers only).
 
@@ -357,7 +352,7 @@ def transcripts_table(sf_dir: str, *, limit_docs: int | None = None,
                          columns=["doc_id", "text"])
     if limit_docs is not None:
         docs = docs.slice(0, limit_docs)
-    batch = synth_batch(docs, mega_every=mega_every, mega_turns=mega_turns)
+    batch = synth_batch(docs)
     if with_duplicates:
         dup_mask = []
         conv_ids = batch.column("conv_id").to_pylist()

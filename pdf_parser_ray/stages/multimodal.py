@@ -27,6 +27,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..relational import pool_actor_cpus, pool_size
+
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.int64()),
     ("kind", pa.string()),
@@ -144,10 +146,10 @@ def decode_media_dataset(media_ds, *, decoder: str = "fake",
                          batch_size: int = 32, concurrency=None):
     """media table -> decoded features (actor pool sized to the cluster
     with shuffle headroom; small batches for wide binary rows)."""
-    from ..pipelines.extraction import pool_size
     return media_ds.map_batches(
         DecodeMedia, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency if concurrency is not None else pool_size(),
+        num_cpus=pool_actor_cpus(),
         fn_constructor_kwargs={"decoder": decoder})
 
 
@@ -296,19 +298,19 @@ def resize_raw_dataset(media_ds, *, width: int = 32, height: int = 24,
                        batch_size: int = 16, concurrency=None):
     """raw media table -> resized raw payloads (actor pool, small
     batches for wide binary rows)."""
-    from ..pipelines.extraction import pool_size
     return media_ds.map_batches(
         ResizeRawImages, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency if concurrency is not None else pool_size(),
+        num_cpus=pool_actor_cpus(),
         fn_constructor_kwargs={"width": width, "height": height})
 
 
 def sample_frames_dataset(media_ds, *, n_frames: int = 4,
                           batch_size: int = 16, concurrency=None):
-    from ..pipelines.extraction import pool_size
     return media_ds.map_batches(
         SampleFrames, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency if concurrency is not None else pool_size(),
+        num_cpus=pool_actor_cpus(),
         fn_constructor_kwargs={"n_frames": n_frames})
 
 
@@ -379,8 +381,8 @@ class ChunkAudio:
 
 def chunk_audio_dataset(media_ds, *, window: int = 64, stride: int = 48,
                         batch_size: int = 16, concurrency=None):
-    from ..pipelines.extraction import pool_size
     return media_ds.map_batches(
         ChunkAudio, batch_format="pyarrow", batch_size=batch_size,
         concurrency=concurrency if concurrency is not None else pool_size(),
+        num_cpus=pool_actor_cpus(),
         fn_constructor_kwargs={"window": window, "stride": stride})

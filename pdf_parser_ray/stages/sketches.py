@@ -22,6 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..relational import bucketed_map_groups, pool_actor_cpus, pool_size
+
+
 def _h1(s: pd.Series) -> np.ndarray:
     return pd.util.hash_pandas_object(s, index=False).to_numpy()
 
@@ -119,10 +122,10 @@ def bloom_semi_join(ds, bloom: BloomFilter, on: str,
         def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
             return b[self.bf.contains_many(b[on])]
 
-    from ..pipelines.extraction import pool_size
     return ds.map_batches(Probe, batch_format="pandas",
                           batch_size=batch_size,
-                          concurrency=pool_size())
+                          concurrency=pool_size(),
+                          num_cpus=pool_actor_cpus())
 
 
 # ------------------------------------------------------------- HyperLogLog
@@ -309,8 +312,6 @@ def heavy_hitters(ds, *, token_col: str, cnt_col: str, m: int = 4096,
                   .sum() % n_reducers)
         return d.assign(__red=np.int32(tag))
 
-    from ..relational import bucketed_map_groups
-
     def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for r, gg in g.groupby("__red", sort=False):
@@ -339,8 +340,6 @@ def approx_distinct_grouped(ds, *, group_col: str, col: str,
     never a value shuffle), max-merged per group in a bucketed
     combine. State per group is O(2^p) regardless of cardinality;
     groups shuffle, values never do. Returns (group, est)."""
-    from ..relational import bucketed_map_groups
-
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         gs, regs = [], []
         for g, gg in b.groupby(group_col, sort=False, observed=True):

@@ -149,7 +149,7 @@ def test_minhash_keep_high_duplication(ray_session):
 def test_chunk_dedup_removes_repeated_boilerplate(ray_session, tmp_path):
     """Docs sharing a 25-word boilerplate chunk keep it only in its
     first occurrence; a doc made entirely of seen chunks disappears."""
-    from pdf_parser_ray.queries import docs_chunk_dedup
+    from pdf_parser_ray.queries.docs import docs_chunk_dedup
     boiler = " ".join(f"b{i}" for i in range(25))
     uniq = lambda tag: " ".join(f"{tag}{i}" for i in range(25))
     df = pd.DataFrame({

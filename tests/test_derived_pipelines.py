@@ -480,12 +480,13 @@ def test_sft_pairing_semantics(ray_session):
     with the most recent prior user turn; tool turns count as gap;
     an assistant turn before any user turn is dropped."""
     import ray.data as rd
-    from pdf_parser_ray.queries import transcript_sft_pairs  # noqa: F401
+    from pdf_parser_ray.queries.transcripts import (  # noqa: F401
+        transcript_sft_pairs)
     # drive the bucket-level pairing directly through the same path
     # the query uses, with a hand-built conversation
     import pandas as pd
     from pdf_parser_ray.relational import _cogroup, _split_sides
-    import pdf_parser_ray.queries as Q
+    import pdf_parser_ray.queries.transcripts as Q
 
     ex = pd.DataFrame({
         "conv_id": ["c"] * 6,

@@ -50,7 +50,8 @@ def test_readme_registry_counts_in_sync():
     """README's registry counts and its family table are asserted
     against the live registry so the doc can't drift (r3 VERDICT item
     5): the table's oracled column names exactly the ORACLES keys and
-    its rows+pytest column exactly the other QUERIES."""
+    its rows+pytest column exactly the other QUERIES, and each family
+    row names exactly the queries its module declares."""
     import re
     text = open("README.md").read()
     for pat in (r"(\d+) driver-harness queries; (\d+) with DuckDB",
@@ -60,14 +61,45 @@ def test_readme_registry_counts_in_sync():
         assert int(m.group(1)) == len(QUERIES), (pat, m.group(1))
         assert int(m.group(2)) == len(ORACLES), (pat, m.group(2))
     table = text.split("| family | oracled | rows+pytest |\n")[1]
+    rows = table.split("\n\n")[0].splitlines()[1:]
+    families = ("tpch", "events", "docs", "dedup", "embeddings",
+                "transcripts")
+    assert len(rows) == len(families), rows
     oracled, rows_only = set(), set()
-    for row in table.split("\n\n")[0].splitlines()[1:]:
+    for module, row in zip(families, rows):
         _, _, o, r, _ = row.split("|")
-        oracled |= set(re.findall(r"`(\w+)`", o))
-        rows_only |= set(re.findall(r"`(\w+)`", r))
+        row_oracled = set(re.findall(r"`(\w+)`", o))
+        row_rows_only = set(re.findall(r"`(\w+)`", r))
+        declared = {n for n, f in QUERIES.items()
+                    if f.__module__ == f"pdf_parser_ray.queries.{module}"}
+        assert row_oracled == declared & set(ORACLES), (
+            module, row_oracled ^ (declared & set(ORACLES)))
+        assert row_rows_only == declared - set(ORACLES), (
+            module, row_rows_only ^ (declared - set(ORACLES)))
+        oracled |= row_oracled
+        rows_only |= row_rows_only
     assert oracled == set(ORACLES), (oracled ^ set(ORACLES))
     assert rows_only == set(QUERIES) - set(ORACLES), (
         rows_only ^ (set(QUERIES) - set(ORACLES)))
+
+
+def test_duplicate_query_name_refused():
+    """A second declaration of a registered name, from any module, is
+    refused with both modules named, and the registry is unchanged."""
+    from pdf_parser_ray.queries import _common, query
+
+    def q1_pricing_summary(sf_dir):
+        return pd.DataFrame()
+
+    before = (dict(_common.DECLARED), dict(_common.ORACLE_SQL))
+    for declare in (query, query(oracle="SELECT 1")):
+        with pytest.raises(ValueError) as e:
+            declare(q1_pricing_summary)
+        assert "pdf_parser_ray.queries.tpch" in str(e.value)
+        assert __name__ in str(e.value)
+    assert (_common.DECLARED, _common.ORACLE_SQL) == before
+    assert QUERIES["q1_pricing_summary"].__module__ == \
+        "pdf_parser_ray.queries.tpch"
 
 
 def test_driver_window_is_all_oracled():

@@ -613,3 +613,54 @@ def test_quantile_exact_tie_run_beyond_budget(ray_session):
         want = [float(np.quantile(v, q, method="linear"))
                 for q in (0.25, 0.5)]
         assert got == want
+
+
+_SMALL_HOST_RUN = """
+import sys
+import ray
+ray.init(address="local", num_cpus=int(sys.argv[1]),
+         object_store_memory=256 << 20, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from tests.oracle_compare import assert_oracle_match
+from tests.test_queries_oracle import SF_DIR
+assert_oracle_match(SF_DIR, "docs_bigram_lift")
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_chained_pools_finish_on_a_small_host(cpus):
+    """docs_bigram_lift chains two hash_join actor pools; on a 1 or 2
+    CPU host a whole-CPU actor per pool left no CPU for the tasks
+    feeding them, and the plan never finished. It must now finish, in
+    its own Ray session, and match its oracle."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _SMALL_HOST_RUN,
+                             str(cpus)], cwd=root, start_new_session=True)
+    try:
+        assert proc.wait(timeout=120) == 0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def test_pool_sizes_above_the_reserve():
+    """At 4 or more CPUs a pool is (max(1, hi // 2), hi) with
+    hi = CPUs - 2 and its actors keep Ray Data's one-CPU default; at
+    1-2 CPUs a pool is one actor asking for (CPUs - 1) / 2."""
+    from unittest import mock
+
+    import pdf_parser_ray.relational as rel
+    for cpus, size, actor_cpus in ((1, (1, 1), 0.0), (2, (1, 1), 0.5),
+                                   (3, (1, 1), None), (4, (1, 2), None),
+                                   (8, (3, 6), None), (32, (15, 30), None)):
+        with mock.patch.object(rel, "ray_cpus", lambda default: cpus):
+            assert rel.pool_size() == size, cpus
+            assert rel.pool_actor_cpus() == actor_cpus, cpus

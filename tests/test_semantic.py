@@ -43,7 +43,7 @@ def test_pair_stage_partitioning_invariance(ray_session, tmp_path):
     """Same pairs regardless of the input's physical block layout."""
     import ray.data as rd
 
-    from pdf_parser_ray.queries import _semantic_pairs_ds
+    from pdf_parser_ray.queries.embeddings import _semantic_pairs_ds
 
     src = pd.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
     out = tmp_path / "emb"
@@ -63,7 +63,7 @@ def test_semantic_dedup_components(ray_session):
     """%51 ids get TWO injected copies -> size-3 components whose rep
     is the base id; %17-only ids get size-2 components; kept marks
     exactly one exemplar per component."""
-    from pdf_parser_ray.queries import embeddings_semantic_dedup
+    from pdf_parser_ray.queries.embeddings import embeddings_semantic_dedup
     out = embeddings_semantic_dedup("/root/testdata/sf0.001")
     assert set(out.columns) == {"vec_id", "rep", "kept"}
     src = pd.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
@@ -81,8 +81,8 @@ def test_semantic_dedup_components(ray_session):
 
 
 def test_semantic_empty_corpus(ray_session, tmp_path):
-    from pdf_parser_ray.queries import (embeddings_semantic_dedup,
-                                        embeddings_semantic_pairs)
+    from pdf_parser_ray.queries.embeddings import (
+        embeddings_semantic_dedup, embeddings_semantic_pairs)
     out = tmp_path / "empty"
     out.mkdir()
     pd.DataFrame({"vec_id": pd.array([], dtype="int64"),
@@ -101,7 +101,7 @@ def test_unigram_ce_hand_computed(ray_session, tmp_path):
     """Tiny corpus where the CE is computable by hand: common-token
     docs score LOWER than rare-token docs (the quality-proxy
     contract)."""
-    from pdf_parser_ray.queries import docs_unigram_ce
+    from pdf_parser_ray.queries.docs import docs_unigram_ce
     out = tmp_path / "docs"
     out.mkdir()
     pd.DataFrame({"doc_id": [0, 1, 2],
@@ -124,7 +124,7 @@ def test_unigram_ce_hand_computed(ray_session, tmp_path):
 
 
 def test_unigram_ce_empty_corpus(ray_session, tmp_path):
-    from pdf_parser_ray.queries import docs_unigram_ce
+    from pdf_parser_ray.queries.docs import docs_unigram_ce
     out = tmp_path / "docs"
     out.mkdir()
     pd.DataFrame({"doc_id": pd.array([], dtype="int64"),
@@ -151,8 +151,8 @@ def test_kmeans_blocking_finds_every_injected_pair(ray_session):
     the fixture corpus (no natural pair above 0.9) its pair set
     therefore equals the label-blocked query's, minus the block
     column."""
-    from pdf_parser_ray.queries import (embeddings_semantic_pairs,
-                                        embeddings_semantic_pairs_kmeans)
+    from pdf_parser_ray.queries.embeddings import (
+        embeddings_semantic_pairs, embeddings_semantic_pairs_kmeans)
     label_blocked = embeddings_semantic_pairs("/root/testdata/sf0.001")
     kmeans_blocked = embeddings_semantic_pairs_kmeans(
         "/root/testdata/sf0.001")
@@ -171,7 +171,7 @@ def test_gopher_rules_hand_computed(ray_session, tmp_path):
     """Constructed docs exercising each Gopher rule: a good doc, a
     bullet wall, an ellipsis spammer, a duplicate-line wall, a
     symbol-ridden doc, and a numbers-only doc."""
-    from pdf_parser_ray.queries import docs_gopher_rules
+    from pdf_parser_ray.queries.docs import docs_gopher_rules
     out = tmp_path / "docs"
     out.mkdir()
     good = ("the quick brown fox and the lazy dog have been seen "
