@@ -20,6 +20,7 @@ failed run resumes deterministically.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, List
 
 import numpy as np
@@ -381,9 +382,10 @@ class TranscriptParquetSource(Datasource):
     grouping into read tasks and the rows match ``read_parquet``'s.
 
     Each read task reads its files one row group at a time, projected
-    to the ``columns`` each file holds, and yields the row groups
-    unchanged: the caller's ``normalize`` pass casts them and names
-    the columns a file lacks.
+    to the ``columns`` each file holds, and yields each row group cast
+    by ``_normalize``, so the read needs no second operator. Its read
+    function is a ``functools.partial`` of module-level functions,
+    which pickles by reference.
     """
 
     def __init__(self, paths, columns: List[str]):
@@ -423,7 +425,7 @@ class TranscriptParquetSource(Datasource):
                 size_bytes=sum(self._files[i][1] for i in group),
                 input_files=files, exec_stats=None)
             tasks.append(ReadTask(
-                lambda files=files: _read_files(fs, files, columns), meta))
+                partial(_read_files, fs, files, columns), meta))
         return tasks
 
 
@@ -453,7 +455,7 @@ def _list_files(fs, paths: List[str]) -> List[tuple]:
 
 def _read_files(fs, files: List[str], columns: List[str]):
     """One read task: each file's row groups, projected to the
-    ``columns`` the file holds."""
+    ``columns`` the file holds and normalized."""
     import pyarrow.parquet as pq
 
     for path in files:
@@ -466,10 +468,28 @@ def _read_files(fs, files: List[str], columns: List[str]):
                     t = pf.read_row_group(i, columns=cols,
                                           use_threads=False)
                     if t.num_rows:
-                        yield t
+                        yield _normalize(t, columns=columns,
+                                         format="parquet")
         except (OSError, pa.ArrowException) as e:
             raise OSError(f"cannot read transcript file {path}: {e}") \
                 from e
+
+
+def _normalize(t: pa.Table, *, columns: List[str], format: str
+               ) -> pa.Table:
+    """``t`` projected to ``columns`` and cast to TRANSCRIPT_SCHEMA's
+    types. Arrow's cast parses ISO-8601 strings for the timestamp
+    column and narrows json's int64 turn_idx to the canonical int32;
+    the new table carries no schema metadata."""
+    import pyarrow.compute as pc
+
+    missing = [c for c in columns if c not in t.column_names]
+    if missing:
+        raise ValueError(
+            f"transcript {format} input is missing columns "
+            f"{missing}; present: {t.column_names}")
+    return pa.table({c: pc.cast(t.column(c), TRANSCRIPT_SCHEMA.field(c).type)
+                     for c in columns})
 
 
 def read_transcripts(path, *, format: str = "parquet",
@@ -490,7 +510,8 @@ def read_transcripts(path, *, format: str = "parquet",
     (transcript text does) — so convert to parquet once and use the
     parquet path for repeated runs at scale. All three normalize to
     TRANSCRIPT_SCHEMA's column types (projected to ``columns``) in one
-    Arrow cast pass that fuses with the read, so every downstream
+    Arrow cast (``_normalize``: inside the Parquet read task, and in a
+    ``map_batches`` fused with the jsonl / csv read), so every downstream
     stage — extraction, dedup, boilerplate strip — is source-agnostic:
     jsonl/csv type drift (int64 turn_idx, ISO-string ts) never reaches
     a kernel. ``columns`` outside TRANSCRIPT_SCHEMA raise ValueError
@@ -499,23 +520,22 @@ def read_transcripts(path, *, format: str = "parquet",
     """
     import ray.data as rd
 
-    want = {f.name: f.type for f in TRANSCRIPT_SCHEMA}
-    cols = list(columns) if columns is not None else list(want)
-    unknown = [c for c in cols if c not in want]
+    names = TRANSCRIPT_SCHEMA.names
+    cols = list(columns) if columns is not None else names
+    unknown = [c for c in cols if c not in names]
     if unknown:
         raise ValueError(f"unknown transcript columns {unknown}; "
-                         f"expected a subset of {list(want)}")
+                         f"expected a subset of {names}")
     kw = {}
     if override_num_blocks is not None:
         kw["override_num_blocks"] = override_num_blocks
     if format == "parquet":
-        # pruned at the read, but still normalized below: a parquet
-        # export can drift too (int64 turn_idx / timestamp[ns] from a
-        # pandas round-trip), and the cast pass also drops the
-        # writer's pandas schema metadata (same reason
-        # transcripts_dataset strips it)
-        ds = rd.read_datasource(TranscriptParquetSource(path, cols), **kw)
-    elif format == "jsonl":
+        # pruned and normalized in the read task: a parquet export can
+        # drift too (int64 turn_idx / timestamp[ns] from a pandas
+        # round-trip), and the cast also drops the writer's pandas
+        # schema metadata (same reason transcripts_dataset strips it)
+        return rd.read_datasource(TranscriptParquetSource(path, cols), **kw)
+    if format == "jsonl":
         ds = rd.read_json(path, **kw)
     elif format == "csv":
         import pyarrow.csv as pacsv
@@ -526,17 +546,5 @@ def read_transcripts(path, *, format: str = "parquet",
     else:
         raise ValueError(f"unknown transcript format {format!r}; "
                          "expected parquet, jsonl, or csv")
-
-    def normalize(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        missing = [c for c in cols if c not in t.column_names]
-        if missing:
-            raise ValueError(
-                f"transcript {format} input is missing columns "
-                f"{missing}; present: {t.column_names}")
-        # Arrow cast parses ISO-8601 strings for the timestamp column
-        # and narrows json's int64 turn_idx to the canonical int32
-        return pa.table({c: pc.cast(t.column(c), want[c])
-                         for c in cols})
-
-    return ds.map_batches(normalize, batch_format="pyarrow")
+    return ds.map_batches(partial(_normalize, columns=cols, format=format),
+                          batch_format="pyarrow")

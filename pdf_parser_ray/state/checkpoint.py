@@ -18,14 +18,15 @@ job must not restart from zero. Layout::
 The checkpointed write has no shuffle. Its map side is fused into the
 read + extract task: the task buckets its block, sorts it once on
 (bucket, conv_id, turn_idx) (``pc.sort_indices`` is stable, as pandas'
-mergesort), and writes one fsynced part per bucket it holds into that
-bucket's staging directory ``bucket=NNNNN.tmp-<run id>/`` under a
-unique name, returning one small record per part. The calling
-process then seals each bucket: it deletes staged files no record lists (a retried
-attempt's leftovers), writes ``_lineage.json`` and ``_SUCCESS`` and
-commits the bucket with ONE directory rename. No task ever holds a
-whole bucket; the cost is blocks x buckets part files, each sorted on
-its own.
+mergesort), reads each part's lineage off the sorted runs, and writes
+one part per bucket it holds into that bucket's staging directory
+``bucket=NNNNN.tmp-<run id>/`` under a unique name; it fsyncs every
+part in one pass before returning one small record per part. The
+calling process then seals each bucket: it deletes staged files no
+record lists (a retried attempt's leftovers), writes ``_lineage.json``
+and ``_SUCCESS`` and commits the bucket with ONE directory rename. No
+task ever holds a whole bucket; the cost is blocks x buckets part
+files, each sorted on its own.
 
 `_commit` takes one partition as an Arrow table in its final row
 order, writes ``part.parquet`` into a per-writer tmp directory and
@@ -55,6 +56,7 @@ import time
 import uuid
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -62,7 +64,6 @@ import pyarrow.parquet as pq
 
 _ROW_GROUP = 65536          # rows per parquet row group / write slice
 _HASH_CHUNK = 1 << 20       # bytes per content-hash read
-_SUM0 = pc.ScalarAggregateOptions(min_count=0)   # an empty sum is 0
 
 
 def add_bucket_column(batch: pa.Table, *, key: str, n_buckets: int,
@@ -292,72 +293,115 @@ def _staging_dir(out_dir: str, bucket: int, run_id: str) -> str:
     return os.path.join(out_dir, f"bucket={bucket:05d}.tmp-{run_id}")
 
 
+#: the part encodings: a dictionary only where values repeat (keys and
+#: tool tags) and min / max statistics only on the sort keys; a text
+#: column's dictionary is built over unique strings, and its statistics
+#: would put two whole texts in the footer
+_PART_DICTIONARY = ["conv_id", "tool"]
+_PART_STATISTICS = ["conv_id", "turn_idx"]
+
+
+def _run_lineage(table: pa.Table, starts: np.ndarray) -> Dict[str, list]:
+    """Each part's lineage figures, read off the runs of ``table``
+    (sorted on (bucket, conv_id, turn_idx)) that begin at ``starts``.
+    Within a run the nulls sort last, so its non-null conv_ids come
+    first, grouped and in byte order."""
+    n, cols = table.num_rows, table.column_names
+
+    def run_sums(per_row: pa.ChunkedArray) -> list:
+        return np.add.reduceat(per_row.to_numpy(zero_copy_only=False),
+                               starts).tolist()
+
+    conv = table["conv_id"].combine_chunks()
+    valid = conv.is_valid().to_numpy(zero_copy_only=False)
+    # a row opens a conversation when it is valid and is its run's
+    # first row or follows another conv_id
+    new = valid.copy()
+    new[1:] &= ~pc.equal(conv[1:], conv[:-1]).fill_null(False) \
+        .to_numpy(zero_copy_only=False)
+    new[starts] = valid[starts]
+    n_valid = np.add.reduceat(valid, starts)
+    # [min, max] = the first and the last valid conv_id of the run
+    lo, hi = [None] * len(starts), [None] * len(starts)
+    ranged = np.flatnonzero(n_valid)
+    firsts = starts[ranged]
+    for i, first, last in zip(
+            ranged.tolist(), conv.take(firsts).to_pylist(),
+            conv.take(firsts + n_valid[ranged] - 1).to_pylist()):
+        lo[i], hi[i] = first, last
+    return {
+        "rows": np.diff(starts, append=n).tolist(),
+        "error_rows": run_sums(pc.match_substring(
+            table["metadata_json"], '"error":').fill_null(False))
+        if "metadata_json" in cols else [0] * len(starts),
+        "conversations": np.add.reduceat(new, starts).tolist(),
+        "conv_id_min": lo, "conv_id_max": hi,
+        "chars_extracted": run_sums(
+            pc.utf8_length(table["extracted_text"]).fill_null(0))
+        if "extracted_text" in cols else [None] * len(starts),
+    }
+
+
 def _stage_parts(batch: pa.Table, *, out_dir: str, key: str,
                  n_buckets: int, salt_turns: int, done: List[int],
                  run_id: str) -> pa.Table:
     """The map side of the checkpointed write, fused into the read +
     extract task: bucket one block, drop the committed buckets' rows,
     sort the rest once on (bucket, conv_id, turn_idx) and write one
-    fsynced part per bucket into its staging directory. Returns one
-    JSON record per part: its bucket and file name, rows, error rows,
-    distinct conv_ids and their min / max, characters, content hash
-    (blake2b of the parquet bytes) and write seconds."""
+    part per bucket into its staging directory, every part fsynced
+    before the task returns. Returns one JSON record per part: its
+    bucket and file name, rows, error rows, distinct conv_ids and their
+    min / max, characters, content hash (blake2b of the parquet bytes)
+    and write seconds."""
     table = add_bucket_column(batch, key=key, n_buckets=n_buckets,
                               salt_turns=salt_turns)
     if done:
         table = table.filter(pc.invert(pc.is_in(
             table["bucket"], value_set=pa.array(done, pa.int32()))))
+    if not table.num_rows:
+        return pa.table({"part": pa.array([], pa.string())})
     table = table.take(pc.sort_indices(table, sort_keys=[
         ("bucket", "ascending"), ("conv_id", "ascending"),
         ("turn_idx", "ascending")]))
-    cols = table.column_names
-    # the whole block's part lineage in one grouped aggregate; groups
-    # come out in first-appearance (= bucket) order
-    absent = pa.nulls(table.num_rows, pa.int64())
-    stats = pa.table({
-        "bucket": table["bucket"],
-        "conv_id": table["conv_id"],
-        "err": pc.cast(pc.match_substring(table["metadata_json"],
-                                          '"error":'), pa.int64())
-        if "metadata_json" in cols else absent,
-        "chars": pc.utf8_length(table["extracted_text"])
-        if "extracted_text" in cols else absent,
-    }).group_by("bucket", use_threads=False).aggregate([
-        ([], "count_all"), ("err", "sum", _SUM0),
-        ("conv_id", "count_distinct"), ("conv_id", "min_max"),
-        ("chars", "sum", _SUM0)]).to_pylist()
+    bucket = table["bucket"].to_numpy()
+    starts = np.flatnonzero(np.diff(bucket, prepend=-1))
+    lineage = _run_lineage(table, starts)
     body = table.drop_columns(["bucket"])
     body = body.cast(_narrow(body.schema))
-    records, offset = [], 0
-    for g in stats:
+    records, paths = [], []
+    for i, start in enumerate(starts.tolist()):
         t0 = time.monotonic()
-        rows = g["count_all"]
+        b = int(bucket[start])
         part = f"part-{uuid.uuid4().hex}.parquet"
-        sdir = _staging_dir(out_dir, g["bucket"], run_id)
+        sdir = _staging_dir(out_dir, b, run_id)
         os.makedirs(sdir, exist_ok=True)
         sink = pa.BufferOutputStream()
-        pq.write_table(body.slice(offset, rows), sink,
-                       row_group_size=_ROW_GROUP)
+        pq.write_table(body.slice(start, lineage["rows"][i]), sink,
+                       row_group_size=_ROW_GROUP,
+                       use_dictionary=_PART_DICTIONARY,
+                       write_statistics=_PART_STATISTICS)
         data = sink.getvalue()
         # the staging directory is invisible until the seal, so the part
         # goes straight to its unique name
-        with open(os.path.join(sdir, part), "wb") as f:
+        paths.append(os.path.join(sdir, part))
+        with open(paths[-1], "wb") as f:
             f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        offset += rows
-        records.append(json.dumps({
-            "bucket": g["bucket"], "part": part, "rows": rows,
-            "error_rows": g["err_sum"],
-            "conversations": g["conv_id_count_distinct"],
-            "conv_id_min": g["conv_id_min_max"]["min"],
-            "conv_id_max": g["conv_id_min_max"]["max"],
-            "chars_extracted": g["chars_sum"]
-            if "extracted_text" in cols else None,
+        records.append({
+            "bucket": b, "part": part,
+            **{k: v[i] for k, v in lineage.items()},
             "content_hash": hashlib.blake2b(
                 data, digest_size=16).hexdigest(),
-            "write_seconds": time.monotonic() - t0}))
-    return pa.table({"part": pa.array(records, pa.string())})
+            "write_seconds": time.monotonic() - t0})
+    # one fsync pass once every part is written and closed: the parts
+    # are durable before their records leave the task, so before the
+    # seal renames anything
+    t0 = time.monotonic()
+    for path in paths:
+        fsync_path(path)
+    each = (time.monotonic() - t0) / len(paths)
+    return pa.table({"part": pa.array(
+        [json.dumps({**r, "write_seconds": r["write_seconds"] + each})
+         for r in records], pa.string())})
 
 
 def _conversations(sdir: str, parts: List[dict]) -> int:

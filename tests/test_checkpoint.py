@@ -9,7 +9,9 @@ import random
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pds
 import pyarrow.parquet as pq
+import pytest
 
 from pdf_parser_ray.relational import stable_bucket_series
 from pdf_parser_ray.stages.extract import extract_batch
@@ -62,19 +64,20 @@ def _extracted(rows):
         "tool": pa.array(tool, pa.string())}))
 
 
-def _stage(block, out, run_id="run", n_buckets=1, done=()):
+def _stage(block, out, run_id="run", n_buckets=1, done=(), salt_turns=0):
     """The part records one task returns for ``block``."""
     ret = _stage_parts(block, out_dir=out, key="conv_id",
-                       n_buckets=n_buckets, salt_turns=0, done=list(done),
-                       run_id=run_id)
+                       n_buckets=n_buckets, salt_turns=salt_turns,
+                       done=list(done), run_id=run_id)
     assert ret.column_names == ["part"]
     return [json.loads(r) for r in ret.column("part").to_pylist()]
 
 
-def _write(blocks, out, n_buckets=1):
+def _write(blocks, out, n_buckets=1, salt_turns=0):
     """Both sides of the checkpointed write, in this process: stage
     every block, then seal; returns the lineage of each bucket."""
-    records = [r for b in blocks for r in _stage(b, out, n_buckets=n_buckets)]
+    records = [r for b in blocks for r in _stage(
+        b, out, n_buckets=n_buckets, salt_turns=salt_turns)]
     return _seal_buckets(out, "run", records)
 
 
@@ -100,22 +103,33 @@ _ROWS = [
 ]
 
 
+def _pandas_buckets(block: pa.Table, n_buckets: int, salt_turns: int = 0):
+    """Bucket id -> the rows and lineage of that bucket as the pandas
+    writer the Arrow writers replaced had them: mergesort on (conv_id,
+    turn_idx), pandas string ops."""
+    df = add_bucket_column(block, key="conv_id", n_buckets=n_buckets,
+                           salt_turns=salt_turns).to_pandas()
+    out = {}
+    for b, g in df.groupby("bucket"):
+        g = (g.drop(columns="bucket")
+             .sort_values(["conv_id", "turn_idx"], kind="mergesort")
+             .reset_index(drop=True))
+        out[b] = g, {
+            "bucket": b,
+            "rows": len(g),
+            "error_rows": int(g["metadata_json"].str.contains(
+                '"error":', regex=False).sum()),
+            "conversations": int(g["conv_id"].nunique()),
+            "conv_id_min": str(g["conv_id"].dropna().min()),
+            "conv_id_max": str(g["conv_id"].dropna().max()),
+            "chars_extracted": int(g["extracted_text"].str.len().sum()),
+        }
+    return out
+
+
 def _pandas_lineage(block: pa.Table):
-    """The lineage and row order of the pandas writer the Arrow writers
-    replaced: mergesort on (conv_id, turn_idx), pandas string ops."""
-    g = (block.to_pandas().sort_values(["conv_id", "turn_idx"],
-                                       kind="mergesort")
-         .reset_index(drop=True))
-    return g, {
-        "bucket": 0,
-        "rows": len(g),
-        "error_rows": int(g["metadata_json"].str.contains(
-            '"error":', regex=False).sum()),
-        "conversations": int(g["conv_id"].nunique()),
-        "conv_id_min": str(g["conv_id"].min()),
-        "conv_id_max": str(g["conv_id"].max()),
-        "chars_extracted": int(g["extracted_text"].str.len().sum()),
-    }
+    """The rows and lineage of ``block`` as one bucket."""
+    return _pandas_buckets(block, 1)[0]
 
 
 def test_arrow_writer_lineage_and_order_equal_pandas(tmp_path):
@@ -160,6 +174,142 @@ def test_arrow_writer_lineage_guards(tmp_path):
     [meta] = _write([nulls, nulls], str(tmp_path / "n"))
     assert (meta["rows"], meta["conversations"], meta["conv_id_min"],
             meta["conv_id_max"]) == (4, 0, "nan", "nan")
+
+
+#: rows whose conv_id is null, among the non-null keys of ``_ROWS``
+_NULL_KEY_ROWS = [
+    (None, 3, "no key", ""),
+    (None, 1, "#CORRUPT", "vision"),
+    (None, 1, "no key, same turn", "html"),
+]
+
+
+@pytest.mark.parametrize("n_buckets,salt_turns", [(1, 0), (16, 0), (16, 1)])
+def test_lineage_from_runs_equals_pandas(tmp_path, n_buckets, salt_turns):
+    """The lineage read off the sorted block's runs equals pandas' per
+    bucket: null keys mixed with non-null ones (nulls sort last and
+    count as no conversation), a conv_id salted over adjacent buckets,
+    an all-null block, and a block whose rows all belong to committed
+    buckets."""
+    block = _extracted(_ROWS + _NULL_KEY_ROWS)
+    out = str(tmp_path / "mixed")
+    metas = _write([block], out, n_buckets, salt_turns)
+    want = _pandas_buckets(block, n_buckets, salt_turns)
+    assert [m["bucket"] for m in metas] == sorted(want)
+    assert n_buckets == 1 or len(metas) > 2
+    for meta in metas:
+        g, lineage = want[meta["bucket"]]
+        assert {k: meta[k] for k in lineage} == lineage
+        [back] = _parts(out, meta["bucket"])
+        pd.testing.assert_frame_equal(back.to_pandas(), g)
+
+    nulls = _extracted(_NULL_KEY_ROWS)
+    out = str(tmp_path / "nulls")
+    [meta] = _write([nulls], out, n_buckets)
+    [(g, lineage)] = _pandas_buckets(nulls, n_buckets).values()
+    assert {k: meta[k] for k in lineage} == lineage
+    assert (meta["conversations"], meta["conv_id_min"],
+            meta["conv_id_max"]) == (0, "nan", "nan")
+    pd.testing.assert_frame_equal(_parts(out, meta["bucket"])[0]
+                                  .to_pandas(), g)
+
+    # one conv_id salted over adjacent runs: each run counts it once
+    spread = _write([_keys(["a"] * 6)], str(tmp_path / "spread"),
+                    n_buckets, salt_turns)
+    assert [m["conversations"] for m in spread] == [1] * len(spread)
+    assert len(spread) > 1 or not salt_turns
+
+    assert _stage(block, str(tmp_path / "done"), n_buckets=n_buckets,
+                  done=sorted(want), salt_turns=salt_turns) == []
+
+
+def _meta_columns(path):
+    """Column name -> its row group's chunk metadata, for every column
+    of the one row group in the part at ``path``."""
+    md = pq.ParquetFile(path).metadata
+    assert md.num_row_groups == 1
+    rg = md.row_group(0)
+    return {rg.column(i).path_in_schema: rg.column(i)
+            for i in range(rg.num_columns)}
+
+
+def test_part_encodings(tmp_path):
+    """Parts carry min / max statistics on the sort keys only and a
+    dictionary on conv_id and tool only; their rows read back as
+    staged, and a part encoded as the previous writer encoded it
+    (every column with a dictionary and statistics) reads with the new
+    parts as one table of one schema."""
+    block = _extracted(_ROWS)
+    out = str(tmp_path)
+    metas = _write([block.slice(0, 5), block.slice(5)], out, n_buckets=1)
+    names = metas[0]["parts"]
+    bdir = os.path.join(out, "bucket=00000")
+    for name in names:
+        cols = _meta_columns(os.path.join(bdir, name))
+        assert set(cols) == set(_PART_SCHEMA.names)
+        assert {c for c, m in cols.items() if m.is_stats_set} == {
+            "conv_id", "turn_idx"}
+        assert {c for c, m in cols.items() if m.has_dictionary_page} == {
+            "conv_id", "tool"}
+    staged = [_pandas_lineage(b)[0] for b in (block.slice(0, 5),
+                                              block.slice(5))]
+    back = sorted((t.to_pandas() for t in _parts(out)), key=len)
+    for got, want in zip(back, sorted(staged, key=len)):
+        pd.testing.assert_frame_equal(got, want)
+
+    older = os.path.join(bdir, "part-older.parquet")
+    pq.write_table(pa.Table.from_pandas(staged[0], preserve_index=False),
+                   older)
+    assert all(m.is_stats_set and m.has_dictionary_page
+               for m in _meta_columns(older).values())
+    both = pds.dataset(bdir, format="parquet").to_table()
+    assert both.schema.remove_metadata() == _PART_SCHEMA
+    assert both.num_rows == len(_ROWS) + len(staged[0])
+
+
+def test_parts_durable_before_return_one_open_at_a_time(tmp_path,
+                                                        monkeypatch):
+    """Every part is written and closed, then fsynced, before the task
+    returns its records; at most one part file is open at any time
+    (``n_buckets`` may exceed the descriptor limit)."""
+    from pdf_parser_ray.state import checkpoint
+
+    events, live = [], []
+
+    class Tracked:
+        def __init__(self, path, *args, **kwargs):
+            self.path, self.f = path, open(path, *args, **kwargs)
+            live.append(path)
+            assert len(live) == 1, live
+            events.append(("open", path))
+
+        def __enter__(self):
+            return self.f
+
+        def __exit__(self, *exc):
+            self.f.close()
+            live.remove(self.path)
+            events.append(("close", self.path))
+
+    real_fsync = checkpoint.fsync_path
+
+    def fsync_path(path):
+        events.append(("fsync", path))
+        real_fsync(path)
+
+    monkeypatch.setattr(checkpoint, "open", Tracked, raising=False)
+    monkeypatch.setattr(checkpoint, "fsync_path", fsync_path)
+    records = _stage(_extracted(_ROWS), str(tmp_path), n_buckets=16)
+    monkeypatch.undo()
+    assert len(records) > 2 and not live
+    paths = [glob.glob(os.path.join(str(tmp_path), "bucket=*",
+                                    r["part"]))[0] for r in records]
+    assert sorted(p for e, p in events if e == "fsync") == sorted(paths)
+    # one pass: every part closed before the first fsync
+    kinds = [e for e, _ in events]
+    first = kinds.index("fsync")
+    assert kinds[:first] == ["open", "close"] * len(paths)
+    assert set(kinds[first:]) == {"fsync"}
 
 
 #: the part-file schema: strings as a pandas round trip wrote them
